@@ -7,10 +7,8 @@ Units: hbar = k_B = 1 throughout; beta = math.inf encodes zero temperature.
 from .bath import (
     DecoherenceEval,
     GammaMethod,
-    decoherence_product,
     gamma_closed,
     gamma_quadrature,
-    spectral_density,
 )
 from .core import (
     ConsistencyError,
@@ -34,7 +32,6 @@ from .correlations import (
     binary_entropy_like,
     classical_bruteforce,
     classical_closed,
-    conditional_state,
     discord,
     discord_decay,
     discord_plateau,
@@ -47,7 +44,7 @@ from .dfe import (
     critical_time_solve,
     scan_trajectory,
 )
-from .evolution import Trajectory, element_decay, evolve, evolve_trajectory
+from .evolution import evolve
 
 __all__ = [
     "ClassicalMethod",
@@ -67,27 +64,21 @@ __all__ = [
     "Regime",
     "Reservoir",
     "SystemConfig",
-    "Trajectory",
     "XDensityMatrix",
     "XStateParams",
     "binary_entropy_like",
     "classical_bruteforce",
     "classical_closed",
-    "conditional_state",
     "critical_time_closed",
     "critical_time_solve",
-    "decoherence_product",
     "discord",
     "discord_decay",
     "discord_plateau",
-    "element_decay",
     "evolve",
-    "evolve_trajectory",
     "gamma_closed",
     "gamma_quadrature",
     "mutual_information",
     "scan_trajectory",
-    "spectral_density",
     "validate_state",
 ]
 

@@ -47,14 +47,6 @@ class DecoherenceEval:
     est_error: float
 
 
-def spectral_density(reservoir: Reservoir, omega: float) -> float:
-    """Ohmic spectral density J(w) = eta * w * exp(-w / omega_c)."""
-    omega = float(omega)
-    if not omega >= 0.0:
-        raise DomainError(f"omega must be >= 0, got {omega!r}")
-    return reservoir.eta * omega * math.exp(-omega / reservoir.omega_c)
-
-
 def _series_tail_third_derivative(u: float, xsq: float) -> float:
     # d^3/du^3 of ln(1 + xsq/u^2); negative for all u > 0.
     usq = u * u
@@ -169,8 +161,3 @@ def gamma_quadrature(
         )
     gamma = math.fsum(values)
     return DecoherenceEval(gamma, math.exp(-gamma), GammaMethod.QUADRATURE, est)
-
-
-def decoherence_product(bath_a: Reservoir, bath_b: Reservoir, t: float) -> float:
-    """D_A(t) * D_B(t), the joint coherence attenuation of the pair."""
-    return gamma_closed(bath_a, t).d * gamma_closed(bath_b, t).d

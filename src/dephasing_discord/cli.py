@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bath import gamma_closed, gamma_quadrature
+from .bath import GammaMethod, gamma_closed, gamma_quadrature
 from .core import (
     ConsistencyError,
     DomainError,
@@ -38,10 +38,6 @@ from .dfe import critical_time_closed, critical_time_solve, scan_trajectory
 from .evolution import evolve
 
 _CSV_HEADER = ("t", "d_a", "d_b", "mutual_info", "classical", "discord", "regime")
-_FIGURE_T_MAX = 30.0
-_FIGURE_T_POINTS = 300
-_FIGURE_BETA_RANGE = (1.0, 10.0)
-_FIGURE_BETA_POINTS = 50
 _VERIFY_SEED = 20120705
 _SWEEP_PARAMS = ("beta", "beta_a", "beta_b", "eta", "eta_a", "eta_b", "kappa")
 
@@ -61,21 +57,7 @@ _DEFAULTS: dict[str, float | int | str] = {
     "points": 300,
     "method": "closed",
 }
-_FLOAT_KEYS = (
-    "eta_a",
-    "eta_b",
-    "omega_c_a",
-    "omega_c_b",
-    "beta_a",
-    "beta_b",
-    "kappa",
-    "c1",
-    "c2",
-    "c3",
-    "omega_A",
-    "omega_B",
-    "t_max",
-)
+_FLOAT_KEYS = (*(k for k, v in _DEFAULTS.items() if isinstance(v, float)), "kappa")
 
 
 class RunMethod(Enum):
@@ -84,17 +66,41 @@ class RunMethod(Enum):
     QUADRATURE = "quadrature"
 
 
+_METHODS = {
+    RunMethod.CLOSED: (ClassicalMethod.CLOSED, GammaMethod.CLOSED_FORM),
+    RunMethod.BRUTEFORCE: (ClassicalMethod.BRUTEFORCE, GammaMethod.CLOSED_FORM),
+    RunMethod.QUADRATURE: (ClassicalMethod.CLOSED, GammaMethod.QUADRATURE),
+}
+
+
+def _baths(eta: float, beta_a: float, beta_b: float) -> dict[str, float]:
+    return {"eta_a": eta, "eta_b": eta, "beta_a": beta_a, "beta_b": beta_b}
+
+
+# Preset datasets: prefix columns, and one (column values, overrides of
+# _DEFAULTS) pair per curve; see run_figure.
+_FIGURE_BETAS = [float(b) for b in np.linspace(1.0, 10.0, 50)]
+_FIGURES = {
+    "fig2": (("beta",), [((b,), _baths(0.2, b, b)) for b in _FIGURE_BETAS]),
+    "fig3": (("eta",), [((e,), _baths(e, 5.0, 5.0)) for e in (0.2, 0.6, 0.9)]),
+    "fig4": (("c3",), [
+        ((-m,), {**_baths(0.2, 5.0, 5.0), "c2": m, "c3": -m}) for m in (0.2, 0.4, 0.8)
+    ]),
+    "fig5": (("kappa", "beta_a"), [
+        ((k, b), _baths(0.12, b, k * b)) for k in (0.2, 1.0, 5.0) for b in _FIGURE_BETAS
+    ]),
+}
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """A fully resolved run: physics configuration plus grid and method."""
 
-    command: str
     config: SystemConfig
     t_max: float
     points: int
     method: RunMethod
     sweep: tuple[str, tuple[float, ...]] | None = None
-    figure: str | None = None
 
 
 def _parse_config_file(path: str) -> dict[str, float | int | str]:
@@ -193,7 +199,6 @@ def _build_runspec(args: argparse.Namespace) -> RunSpec:
     if not t_max > 0.0:
         raise DomainError(f"t_max must be > 0, got {t_max}")
     return RunSpec(
-        command=args.command,
         config=_build_config(settings),
         t_max=t_max,
         points=points,
@@ -204,26 +209,6 @@ def _build_runspec(args: argparse.Namespace) -> RunSpec:
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def _curve_rows(config: SystemConfig, t_max: float, points: int, method: RunMethod):
-    kwargs = {}
-    if method is RunMethod.BRUTEFORCE:
-        kwargs["classical_method"] = ClassicalMethod.BRUTEFORCE
-    from .bath import GammaMethod
-
-    if method is RunMethod.QUADRATURE:
-        kwargs["gamma_method"] = GammaMethod.QUADRATURE
-    for p in scan_trajectory(config, t_max, points, **kwargs):
-        yield (
-            _fmt(p.t),
-            _fmt(p.d_a),
-            _fmt(p.d_b),
-            _fmt(p.mutual_info),
-            _fmt(p.classical),
-            _fmt(p.discord),
-            p.regime.value,
-        )
 
 
 def _with_sweep_value(config: SystemConfig, param: str, value: float) -> SystemConfig:
@@ -241,21 +226,27 @@ def _with_sweep_value(config: SystemConfig, param: str, value: float) -> SystemC
     return replace(config, bath_a=bath_a, bath_b=bath_b)
 
 
-def run_curve(spec: RunSpec) -> str:
-    lines = [",".join(_CSV_HEADER)]
-    for row in _curve_rows(spec.config, spec.t_max, spec.points, spec.method):
-        lines.append(",".join(row))
+def _sweep_csv(
+    columns: tuple[str, ...], cases, t_max: float, points: int, method: RunMethod
+) -> str:
+    """One CSV row per grid point of each (column values, config) case in cases."""
+    classical_method, gamma_method = _METHODS[method]
+    lines = [",".join((*columns, *_CSV_HEADER))]
+    for prefix, config in cases:
+        lead = "".join(_fmt(v) + "," for v in prefix)
+        for p in scan_trajectory(config, t_max, points, classical_method, gamma_method):
+            values = (p.t, p.d_a, p.d_b, p.mutual_info, p.classical, p.discord)
+            lines.append(lead + ",".join(map(_fmt, values)) + "," + p.regime.value)
     return "\n".join(lines) + "\n"
 
 
-def run_surface(spec: RunSpec) -> str:
+def run_sweep(spec: RunSpec) -> str:
+    """A curve, or with spec.sweep set a surface led by the swept value."""
+    if spec.sweep is None:
+        return _sweep_csv((), [((), spec.config)], spec.t_max, spec.points, spec.method)
     param, values = spec.sweep
-    lines = [",".join((param, *_CSV_HEADER))]
-    for value in values:
-        config = _with_sweep_value(spec.config, param, value)
-        for row in _curve_rows(config, spec.t_max, spec.points, spec.method):
-            lines.append(",".join((_fmt(value), *row)))
-    return "\n".join(lines) + "\n"
+    cases = (((v,), _with_sweep_value(spec.config, param, v)) for v in values)
+    return _sweep_csv((param,), cases, spec.t_max, spec.points, spec.method)
 
 
 def run_critical_time(spec: RunSpec) -> str:
@@ -275,15 +266,6 @@ def run_critical_time(spec: RunSpec) -> str:
     return header + "\n" + row + "\n"
 
 
-def _figure_base_config(eta: float, beta: float) -> SystemConfig:
-    return SystemConfig(
-        qubits=QubitPair(0.0, 0.0),
-        bath_a=Reservoir(eta, 1.0, beta),
-        bath_b=Reservoir(eta, 1.0, beta),
-        state=XStateParams(1.0, 0.4, -0.4),
-    )
-
-
 def run_figure(figure: str) -> str:
     """Preset dataset grids.
 
@@ -293,46 +275,19 @@ def run_figure(figure: str) -> str:
           eta = 0.2, beta = 5.
     fig5: three surfaces over (beta_a, t) at kappa in {0.2, 1, 5} with
           beta_b = kappa*beta_a, eta = 0.12.
-    All grids use t in [0, 30] with 300 points; beta grids span [1, 10]
-    with 50 points.
+    All grids use the default t grid, [0, 30] with 300 points, and the
+    closed-form methods; beta grids span [1, 10] with 50 points.
     """
-    t_max, t_points = _FIGURE_T_MAX, _FIGURE_T_POINTS
-    betas = np.linspace(*_FIGURE_BETA_RANGE, _FIGURE_BETA_POINTS)
-    lines: list[str] = []
-    if figure == "fig2":
-        lines.append(",".join(("beta", *_CSV_HEADER)))
-        for beta in betas:
-            config = _figure_base_config(0.2, float(beta))
-            for row in _curve_rows(config, t_max, t_points, RunMethod.CLOSED):
-                lines.append(",".join((_fmt(beta), *row)))
-    elif figure == "fig3":
-        lines.append(",".join(("eta", *_CSV_HEADER)))
-        for eta in (0.2, 0.6, 0.9):
-            config = _figure_base_config(eta, 5.0)
-            for row in _curve_rows(config, t_max, t_points, RunMethod.CLOSED):
-                lines.append(",".join((_fmt(eta), *row)))
-    elif figure == "fig4":
-        lines.append(",".join(("c3", *_CSV_HEADER)))
-        for magnitude in (0.2, 0.4, 0.8):
-            config = replace(
-                _figure_base_config(0.2, 5.0),
-                state=XStateParams(1.0, magnitude, -magnitude),
-            )
-            for row in _curve_rows(config, t_max, t_points, RunMethod.CLOSED):
-                lines.append(",".join((_fmt(-magnitude), *row)))
-    elif figure == "fig5":
-        lines.append(",".join(("kappa", "beta_a", *_CSV_HEADER)))
-        for kappa in (0.2, 1.0, 5.0):
-            for beta_a in betas:
-                config = _figure_base_config(0.12, float(beta_a))
-                config = replace(
-                    config, bath_b=replace(config.bath_b, beta=kappa * float(beta_a))
-                )
-                for row in _curve_rows(config, t_max, t_points, RunMethod.CLOSED):
-                    lines.append(",".join((_fmt(kappa), _fmt(beta_a), *row)))
-    else:
+    if figure not in _FIGURES:
         raise DomainError(f"unknown figure {figure!r}")
-    return "\n".join(lines) + "\n"
+    columns, cases = _FIGURES[figure]
+    return _sweep_csv(
+        columns,
+        ((prefix, _build_config({**_DEFAULTS, **overrides})) for prefix, overrides in cases),
+        float(_DEFAULTS["t_max"]),
+        int(_DEFAULTS["points"]),
+        RunMethod(_DEFAULTS["method"]),
+    )
 
 
 def _verify_checks(debug_prefactor_8: bool):
@@ -385,7 +340,7 @@ def _verify_checks(debug_prefactor_8: bool):
         )
         rho = evolve(config, float(rng.uniform(0.0, 10.0)))
         closed, _ = classical_closed(rho)
-        brute, _ = classical_bruteforce(rho, config.qubits)
+        brute, _ = classical_bruteforce(rho)
         worst = max(worst, abs(brute - closed))
     checks.append(("classical bruteforce vs closed form", 100, worst, 1e-6))
 
@@ -449,8 +404,14 @@ def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
     add("--c1", dest="c1", type=float, help="initial-state coefficient c1")
     add("--c2", dest="c2", type=float, help="initial-state coefficient c2")
     add("--c3", dest="c3", type=float, help="initial-state coefficient c3")
-    add("--omega-A", dest="omega_A", type=float, help="splitting of qubit A")
-    add("--omega-B", dest="omega_B", type=float, help="splitting of qubit B")
+    add("--omega-A", dest="omega_A", type=float, help="splitting of qubit A (moves no column)")
+    add("--omega-B", dest="omega_B", type=float, help="splitting of qubit B (moves no column)")
+    add("--config", dest="config", help="key=value settings file")
+    add("--out", dest="out", help="output path (default: stdout)")
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
     add("--t-max", dest="t_max", type=float, help="end of the time grid")
     add("--points", dest="points", type=int, help="number of grid points")
     add(
@@ -460,8 +421,6 @@ def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
         help="closed: analytic everywhere; bruteforce: classical correlation by "
         "angle search; quadrature: dephasing exponent by integration",
     )
-    add("--config", dest="config", help="key=value settings file")
-    add("--out", dest="out", help="output path (default: stdout)")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -474,9 +433,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="correlation dynamics on a time grid")
     _add_physics_flags(curve)
+    _add_grid_flags(curve)
 
     surface = sub.add_parser("surface", help="curves swept over one bath parameter")
     _add_physics_flags(surface)
+    _add_grid_flags(surface)
     surface.add_argument("--sweep-param", choices=_SWEEP_PARAMS, default="beta")
     surface.add_argument("--sweep-start", type=float, default=1.0)
     surface.add_argument("--sweep-stop", type=float, default=10.0)
@@ -486,7 +447,7 @@ def _make_parser() -> argparse.ArgumentParser:
     _add_physics_flags(critical)
 
     figure = sub.add_parser("figure", help="emit a preset dataset grid")
-    figure.add_argument("figure", choices=("fig2", "fig3", "fig4", "fig5"))
+    figure.add_argument("figure", choices=tuple(_FIGURES))
     figure.add_argument("--out", dest="out", help="output path (default: stdout)")
 
     verify = sub.add_parser("verify", help="cross-path consistency report")
@@ -511,10 +472,8 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        if args.command == "curve":
-            _emit(run_curve(_build_runspec(args)), args.out)
-        elif args.command == "surface":
-            _emit(run_surface(_build_runspec(args)), args.out)
+        if args.command in ("curve", "surface"):
+            _emit(run_sweep(_build_runspec(args)), args.out)
         elif args.command == "critical-time":
             _emit(run_critical_time(_build_runspec(args)), args.out)
         elif args.command == "figure":

@@ -126,7 +126,7 @@ class Reservoir:
 
 @dataclass(frozen=True)
 class QubitPair:
-    """Level splittings of the two probe qubits (set both to 0 to work in the rotating frame)."""
+    """Level splittings of the two probe qubits; they rotate coherence phases only."""
 
     omega_a: float
     omega_b: float
@@ -153,17 +153,18 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class XDensityMatrix:
-    """The evolved X-shaped state, stored through its three independent entries.
+    """The evolved X-shaped state in the rotating frame of the free splittings.
 
-    alpha is the outer-antidiagonal coherence including its free phase
-    exp(-i (omega_a + omega_b) t); gamma is the inner-antidiagonal coherence
-    including exp(+i (omega_b - omega_a) t).  The diagonal is fixed by c3 and
-    normalization.
+    alpha = (c1 - c2) * D_A * D_B is the outer-antidiagonal coherence and
+    gamma = (c1 + c2) * D_A * D_B the inner one, both real.  The free phases
+    exp(-i (omega_a + omega_b) t) and exp(+i (omega_b - omega_a) t) of the
+    lab frame are a local unitary and move no correlation, so they are not
+    stored.  The diagonal is fixed by c3 and normalization.
     """
 
     c3: float
-    alpha: complex
-    gamma: complex
+    alpha: float
+    gamma: float
     t: float
 
     def __post_init__(self):
@@ -183,16 +184,15 @@ class XDensityMatrix:
             )
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 4x4 matrix in the product basis (gg, ge, eg, ee)."""
-        c3, al, ga = self.c3, complex(self.alpha), complex(self.gamma)
+        """Dense real 4x4 rotating-frame matrix in the product basis (gg, ge, eg, ee)."""
+        c3, al, ga = self.c3, self.alpha, self.gamma
         return 0.25 * np.array(
             [
-                [1.0 + c3, 0.0, 0.0, al.conjugate()],
-                [0.0, 1.0 - c3, ga.conjugate(), 0.0],
+                [1.0 + c3, 0.0, 0.0, al],
+                [0.0, 1.0 - c3, ga, 0.0],
                 [0.0, ga, 1.0 - c3, 0.0],
                 [al, 0.0, 0.0, 1.0 + c3],
-            ],
-            dtype=complex,
+            ]
         )
 
 
@@ -217,9 +217,11 @@ class DiscordPoint:
             _require_finite(name, getattr(self, name))
         if self.t < 0.0:
             raise DomainError(f"t must be >= 0, got {self.t!r}")
-        if not (0.0 < self.d_a <= 1.0 and 0.0 < self.d_b <= 1.0):
+        # D = exp(-Gamma) underflows to 0 once Gamma exceeds ~745: the
+        # physical limit of a fully dephased pair, not an invalid input.
+        if not (0.0 <= self.d_a <= 1.0 and 0.0 <= self.d_b <= 1.0):
             raise DomainError(
-                f"decohering factors must lie in (0, 1], got {self.d_a!r}, {self.d_b!r}"
+                f"decohering factors must lie in [0, 1], got {self.d_a!r}, {self.d_b!r}"
             )
         for name in ("mutual_info", "classical", "discord"):
             value = getattr(self, name)

@@ -8,7 +8,6 @@ independent oracle for that algebra.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +18,6 @@ from .core import (
     ConsistencyError,
     DISCORD_CLAMP_TOL,
     DomainError,
-    QubitPair,
     XDensityMatrix,
 )
 from .evolution import eigenvalues
@@ -89,47 +87,30 @@ def mutual_information(rho: XDensityMatrix) -> float:
     return total
 
 
-def _bare_coherences(rho: XDensityMatrix, qubits: QubitPair) -> tuple[float, float]:
-    # Unwind the free phases; the results are real up to rounding by construction.
-    omega_a, omega_b = qubits.omega_a, qubits.omega_b
-    alpha_t = (rho.alpha * cmath.exp(1j * (omega_a + omega_b) * rho.t)).real
-    gamma_t = (rho.gamma * cmath.exp(-1j * (omega_b - omega_a) * rho.t)).real
-    return alpha_t, gamma_t
+def _conditional_states(rho: XDensityMatrix, theta, phi) -> np.ndarray:
+    """Post-measurement states of qubit A for both outcomes k of a measurement on B.
 
+    theta and phi broadcast against each other; the result has shape
+    (2, *broadcast shape, 2, 2).  Both outcomes occur with probability 1/2
+    for this family, and outcome k gives
 
-def conditional_state(
-    rho: XDensityMatrix, k: int, angles: MeasurementAngles, qubits: QubitPair
-) -> np.ndarray:
-    """Post-measurement state of qubit A given outcome k on qubit B.
+        [[(1 - c3*cos(2*theta))/2,        (-1)^k * eps * sin(2*theta)/4],
+         [(-1)^k * conj(eps) * sin(2*theta)/4, (1 + c3*cos(2*theta))/2]]
 
-    Both outcomes occur with probability 1/2 for this family.  The returned
-    2x2 matrix is
-
-        (1/4) * [[2*(1 - c3*cos(2*theta)),   (-1)^k * eps * sin(2*theta)],
-                 [(-1)^k * conj(eps) * sin(2*theta), 2*(1 + c3*cos(2*theta))]]
-
-    with eps = alpha_t * exp(i*((omega_a+omega_b)*t - phi))
-             + gamma_t * exp(i*((omega_a-omega_b)*t + phi)).
+    with eps = alpha * exp(-i*phi) + gamma * exp(i*phi).
     """
-    if k not in (0, 1):
-        raise DomainError(f"k must be 0 or 1, got {k!r}")
-    alpha_t, gamma_t = _bare_coherences(rho, qubits)
-    t = rho.t
-    omega_a, omega_b = qubits.omega_a, qubits.omega_b
-    eps = alpha_t * cmath.exp(1j * ((omega_a + omega_b) * t - angles.phi)) + gamma_t * cmath.exp(
-        1j * ((omega_a - omega_b) * t + angles.phi)
-    )
-    cos2t = math.cos(2.0 * angles.theta)
-    sin2t = math.sin(2.0 * angles.theta)
-    sign = -1.0 if k else 1.0
-    off = sign * eps * sin2t
-    return 0.25 * np.array(
-        [
-            [2.0 * (1.0 - rho.c3 * cos2t), off],
-            [off.conjugate(), 2.0 * (1.0 + rho.c3 * cos2t)],
-        ],
-        dtype=complex,
-    )
+    eps = rho.alpha * np.exp(-1j * phi) + rho.gamma * np.exp(1j * phi)
+    cos2t = np.cos(2.0 * theta)
+    sin2t = np.sin(2.0 * theta)
+    shape = np.broadcast_shapes(np.shape(eps), np.shape(sin2t))
+    states = np.empty((2, *shape, 2, 2), dtype=complex)
+    for k, sign in ((0, 1.0), (1, -1.0)):
+        off = 0.25 * sign * eps * sin2t
+        states[k, ..., 0, 0] = 0.5 * (1.0 - rho.c3 * cos2t)
+        states[k, ..., 1, 1] = 0.5 * (1.0 + rho.c3 * cos2t)
+        states[k, ..., 0, 1] = off
+        states[k, ..., 1, 0] = off.conjugate()
+    return states
 
 
 def classical_closed(rho: XDensityMatrix) -> tuple[float, float]:
@@ -145,12 +126,10 @@ def _entropies_bits(matrices: np.ndarray) -> np.ndarray:
     return -np.sum(lams * np.log2(safe), axis=-1)
 
 
-def _measured_information(
-    rho: XDensityMatrix, qubits: QubitPair, theta: float, phi: float
-) -> float:
-    s0 = _entropies_bits(conditional_state(rho, 0, MeasurementAngles(theta, phi % (2.0 * math.pi)), qubits))
-    s1 = _entropies_bits(conditional_state(rho, 1, MeasurementAngles(theta, phi % (2.0 * math.pi)), qubits))
-    return 1.0 - 0.5 * float(s0 + s1)
+def _measured_information(rho: XDensityMatrix, theta: float, phi: float) -> float:
+    return 1.0 - 0.5 * float(
+        np.sum(_entropies_bits(_conditional_states(rho, theta, phi % (2.0 * math.pi))))
+    )
 
 
 def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
@@ -177,14 +156,13 @@ def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
 
 def classical_bruteforce(
     rho: XDensityMatrix,
-    qubits: QubitPair,
     n_theta: int = _MIN_THETA_POINTS,
     n_phi: int = _MIN_PHI_POINTS,
     refine: bool = True,
 ) -> tuple[float, MeasurementAngles]:
     """Classical correlation by direct search over measurement angles.
 
-    Maximizes 1 - sum_k (1/2) S(conditional_state(k, theta, phi)) on a
+    Maximizes 1 - sum_k (1/2) S(rho_A|k(theta, phi)) on a
     theta x phi grid, then sharpens the grid argmax with one golden-section
     pass per angle.  Ties resolve to the smallest theta, then smallest phi.
     """
@@ -195,21 +173,7 @@ def classical_bruteforce(
         )
     thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    alpha_t, gamma_t = _bare_coherences(rho, qubits)
-    t = rho.t
-    omega_a, omega_b = qubits.omega_a, qubits.omega_b
-    eps = alpha_t * np.exp(1j * ((omega_a + omega_b) * t - phis)) + gamma_t * np.exp(
-        1j * ((omega_a - omega_b) * t + phis)
-    )
-    cos2t = np.cos(2.0 * thetas)[:, None]
-    sin2t = np.sin(2.0 * thetas)[:, None]
-    states = np.empty((2, n_theta, n_phi, 2, 2), dtype=complex)
-    for k, sign in ((0, 1.0), (1, -1.0)):
-        off = 0.25 * sign * eps[None, :] * sin2t
-        states[k, ..., 0, 0] = 0.5 * (1.0 - rho.c3 * cos2t)
-        states[k, ..., 1, 1] = 0.5 * (1.0 + rho.c3 * cos2t)
-        states[k, ..., 0, 1] = off
-        states[k, ..., 1, 0] = off.conjugate()
+    states = _conditional_states(rho, thetas[:, None], phis)
     objective = 1.0 - 0.5 * np.sum(_entropies_bits(states), axis=0)
     flat_index = int(np.argmax(objective))  # row-major: smallest theta, then phi
     i_theta, i_phi = np.unravel_index(flat_index, objective.shape)
@@ -220,14 +184,14 @@ def classical_bruteforce(
         step_theta = 0.5 * math.pi / (n_theta - 1)
         step_phi = 2.0 * math.pi / n_phi
         theta_ref, value_theta = _golden_max(
-            lambda u: _measured_information(rho, qubits, u, best_phi),
+            lambda u: _measured_information(rho, u, best_phi),
             max(0.0, best_theta - step_theta),
             min(0.5 * math.pi, best_theta + step_theta),
         )
         if value_theta > best_value:
             best_value, best_theta = value_theta, theta_ref
         phi_ref, value_phi = _golden_max(
-            lambda u: _measured_information(rho, qubits, best_theta, u),
+            lambda u: _measured_information(rho, best_theta, u),
             best_phi - step_phi,
             best_phi + step_phi,
         )
@@ -239,23 +203,17 @@ def classical_bruteforce(
 def discord(
     rho: XDensityMatrix,
     method: ClassicalMethod = ClassicalMethod.CLOSED,
-    qubits: QubitPair | None = None,
-    n_theta: int = _MIN_THETA_POINTS,
-    n_phi: int = _MIN_PHI_POINTS,
 ) -> CorrelationBreakdown:
     """Mutual information minus classical correlation, clamped at zero.
 
     A deficit beyond DISCORD_CLAMP_TOL is treated as an internal inconsistency
-    rather than clamped away.  The brute-force method needs the qubit
-    splittings to phase the measurement correctly.
+    rather than clamped away.
     """
     info = mutual_information(rho)
     classical, chi = classical_closed(rho)
     angles = None
     if method is ClassicalMethod.BRUTEFORCE:
-        if qubits is None:
-            raise DomainError("brute-force classical correlation requires qubits")
-        classical, angles = classical_bruteforce(rho, qubits, n_theta, n_phi)
+        classical, angles = classical_bruteforce(rho)
     value = info - classical
     if value < -DISCORD_CLAMP_TOL:
         raise ConsistencyError(

@@ -12,18 +12,16 @@ from enum import Enum
 
 import numpy as np
 
-from .bath import GammaMethod, gamma_closed, gamma_quadrature
+from .bath import GammaMethod, gamma_closed
 from .core import (
-    DISCORD_CLAMP_TOL,
-    ConsistencyError,
     DiscordPoint,
     DomainError,
     NoRootInRange,
     Regime,
     SystemConfig,
 )
-from .correlations import ClassicalMethod, classical_bruteforce, classical_closed, mutual_information
-from .evolution import _assemble
+from .correlations import ClassicalMethod, discord
+from .evolution import _assemble, _decohering_factors
 
 # Bisection stops when the bracket is this narrow (in units of 1/omega_c).
 _BRACKET_WIDTH = 1e-12
@@ -32,7 +30,6 @@ _BRACKET_CAP_EXPONENT = 20
 
 
 class CriticalTimeMethod(Enum):
-    CLOSED_ZERO_T = "closed_zero_t"
     BISECTION = "bisection"
 
 
@@ -108,8 +105,6 @@ def scan_trajectory(
     n_points: int,
     classical_method: ClassicalMethod = ClassicalMethod.CLOSED,
     gamma_method: GammaMethod = GammaMethod.CLOSED_FORM,
-    n_theta: int = 91,
-    n_phi: int = 181,
 ) -> list[DiscordPoint]:
     """Correlation dynamics on a uniform grid over [0, t_max].
 
@@ -121,28 +116,14 @@ def scan_trajectory(
         raise DomainError(f"t_max must be > 0, got {t_max!r}")
     if int(n_points) != n_points or n_points < 2:
         raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
-    gamma_of = gamma_quadrature if gamma_method is GammaMethod.QUADRATURE else gamma_closed
     mod_c3 = abs(config.state.c3)
     points = []
     for t in np.linspace(0.0, t_max, int(n_points)):
         t = float(t)
-        d_a = gamma_of(config.bath_a, t).d
-        d_b = gamma_of(config.bath_b, t).d
-        rho = _assemble(config, t, d_a, d_b)
-        info = mutual_information(rho)
-        if classical_method is ClassicalMethod.BRUTEFORCE:
-            classical, _ = classical_bruteforce(rho, config.qubits, n_theta, n_phi)
-        else:
-            classical, _ = classical_closed(rho)
-        value = info - classical
-        if value < -DISCORD_CLAMP_TOL:
-            raise ConsistencyError(
-                f"discord = {value!r} below -{DISCORD_CLAMP_TOL} at t = {t!r}"
-            )
+        d_a, d_b = _decohering_factors(config, t, gamma_method)
+        out = discord(_assemble(config, t, d_a, d_b), classical_method)
         regime = Regime.DFE if mod_c3 > 0.0 and d_a * d_b >= mod_c3 else Regime.DECAY
         points.append(
-            DiscordPoint(
-                t, d_a, d_b, info, classical, value if value > 0.0 else 0.0, regime
-            )
+            DiscordPoint(t, d_a, d_b, out.mutual_info, out.classical, out.discord, regime)
         )
     return points

@@ -1,14 +1,11 @@
 """Exact time evolution of the two-qubit state under independent dephasing.
 
 Populations are frozen; each coherence decays by exp(-Gamma) per reservoir
-whose qubit index flips, and additionally rotates at the free splitting.
-Everything is closed form; no time stepping is involved.
+whose qubit index flips.  The state is kept in the rotating frame of the free
+splittings, whose phases move no correlation.  Everything is closed form; no
+time stepping is involved.
 """
 from __future__ import annotations
-
-import cmath
-import math
-from dataclasses import dataclass
 
 from .bath import GammaMethod, gamma_closed, gamma_quadrature
 from .core import (
@@ -18,8 +15,6 @@ from .core import (
     SystemConfig,
     XDensityMatrix,
 )
-
-_LABELS = ("g", "e")
 
 
 def _decohering_factors(
@@ -36,50 +31,20 @@ def _decohering_factors(
 def _assemble(config: SystemConfig, t: float, d_a: float, d_b: float) -> XDensityMatrix:
     state = config.state
     product = d_a * d_b
-    omega_a, omega_b = config.qubits.omega_a, config.qubits.omega_b
-    alpha = (state.c1 - state.c2) * product * cmath.exp(-1j * (omega_a + omega_b) * t)
-    gamma = (state.c1 + state.c2) * product * cmath.exp(1j * (omega_b - omega_a) * t)
-    return XDensityMatrix(state.c3, alpha, gamma, float(t))
+    return XDensityMatrix(
+        state.c3, (state.c1 - state.c2) * product, (state.c1 + state.c2) * product, t
+    )
 
 
 def evolve(
     config: SystemConfig, t: float, method: GammaMethod = GammaMethod.CLOSED_FORM
 ) -> XDensityMatrix:
-    """State at time t: coherences scaled by D_A*D_B and rotated at the free splittings."""
+    """State at time t: both coherences scaled by D_A*D_B."""
     t = float(t)
     if not t >= 0.0:
         raise DomainError(f"t must be >= 0, got {t!r}")
     d_a, d_b = _decohering_factors(config, t, method)
     return _assemble(config, t, d_a, d_b)
-
-
-def element_decay(
-    rho0_elem: complex,
-    l_a: str,
-    l_b: str,
-    j_a: str,
-    j_b: str,
-    config: SystemConfig,
-    t: float,
-) -> complex:
-    """General decay law for a single matrix element, used as an oracle for evolve.
-
-    Returns rho0_elem * exp((delta(l_a,j_a) - 1) * Gamma_A)
-                      * exp((delta(l_b,j_b) - 1) * Gamma_B),
-    i.e. the rotating-frame element <l_a l_b| rho(t) |j_a j_b>: each reservoir
-    whose index pair differs contributes one factor of D.  Free-phase rotation
-    is deliberately absent here; compare against evolve at zero splittings, or
-    in modulus otherwise.
-    """
-    for name, label in (("l_a", l_a), ("l_b", l_b), ("j_a", j_a), ("j_b", j_b)):
-        if label not in _LABELS:
-            raise DomainError(f"{name} must be one of {_LABELS}, got {label!r}")
-    value = complex(rho0_elem)
-    if l_a != j_a:
-        value *= math.exp(-gamma_closed(config.bath_a, t).gamma)
-    if l_b != j_b:
-        value *= math.exp(-gamma_closed(config.bath_b, t).gamma)
-    return value
 
 
 def eigenvalues(rho: XDensityMatrix) -> tuple[float, float, float, float]:
@@ -101,30 +66,3 @@ def eigenvalues(rho: XDensityMatrix) -> tuple[float, float, float, float]:
     if worst < -EIGENVALUE_TOL:
         raise NonPhysicalState(f"eigenvalue {worst!r} below -{EIGENVALUE_TOL}")
     return tuple(min(max(lam, 0.0), 1.0) for lam in raw)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A strictly increasing time grid together with the evolved states."""
-
-    config: SystemConfig
-    times: tuple[float, ...]
-    states: tuple[XDensityMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise DomainError("times and states must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise DomainError("times must be strictly increasing")
-        if any(s.t != t for s, t in zip(self.states, self.times)):
-            raise DomainError("state timestamps must match the time grid")
-
-
-def evolve_trajectory(
-    config: SystemConfig,
-    times,
-    method: GammaMethod = GammaMethod.CLOSED_FORM,
-) -> Trajectory:
-    grid = tuple(float(t) for t in times)
-    states = tuple(evolve(config, t, method) for t in grid)
-    return Trajectory(config, grid, states)

@@ -4,9 +4,17 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from dephasing_discord import QubitPair, Reservoir, SystemConfig, XStateParams
+from dephasing_discord import (
+    DomainError,
+    QubitPair,
+    Reservoir,
+    SystemConfig,
+    XStateParams,
+    gamma_closed,
+)
 
 LN2 = math.log(2.0)
+LABELS = ("g", "e")
 
 
 @st.composite
@@ -78,3 +86,23 @@ def assert_density_matrix(rho, atol=1e-12):
     assert abs(np.trace(rho) - 1.0) <= atol
     assert np.max(np.abs(rho - rho.conj().T)) <= atol
     assert np.min(np.linalg.eigvalsh(rho)) >= -atol
+
+
+def element_decay(rho0_elem, l_a, l_b, j_a, j_b, config, t):
+    """General decay law for a single matrix element, the oracle for evolve.
+
+    Returns rho0_elem * exp((delta(l_a,j_a) - 1) * Gamma_A)
+                      * exp((delta(l_b,j_b) - 1) * Gamma_B),
+    i.e. the rotating-frame element <l_a l_b| rho(t) |j_a j_b>: each reservoir
+    whose index pair differs contributes one factor of D.
+    """
+    for name, label in (("l_a", l_a), ("l_b", l_b), ("j_a", j_a), ("j_b", j_b)):
+        if label not in LABELS:
+            raise DomainError(f"{name} must be one of {LABELS}, got {label!r}")
+    value = complex(rho0_elem)
+    if l_a != j_a:
+        value *= math.exp(-gamma_closed(config.bath_a, t).gamma)
+    if l_b != j_b:
+        value *= math.exp(-gamma_closed(config.bath_b, t).gamma)
+    return value
+

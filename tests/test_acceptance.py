@@ -27,7 +27,7 @@ from dephasing_discord import (
     gamma_quadrature,
     scan_trajectory,
 )
-from dephasing_discord.cli import run_curve, run_figure, _build_runspec, _make_parser
+from dephasing_discord.cli import run_figure, run_sweep, _build_runspec, _make_parser
 
 PLATEAU = 0.11870910076930738  # binary entropy kernel at 0.4, full precision
 T_P_ZERO_T = 9.831391051117842  # sqrt(0.4**-5 - 1)
@@ -118,8 +118,8 @@ def test_criterion_04_measurement_optimization_oracle():
         )
         rho = evolve(config, float(rng.uniform(0.0, 10.0)))
         closed, _ = classical_closed(rho)
-        grid, _ = classical_bruteforce(rho, config.qubits, refine=False)
-        refined, _ = classical_bruteforce(rho, config.qubits)
+        grid, _ = classical_bruteforce(rho, refine=False)
+        refined, _ = classical_bruteforce(rho)
         worst_grid = max(worst_grid, abs(grid - closed))
         worst_refined = max(worst_refined, abs(refined - closed))
     report(
@@ -245,7 +245,7 @@ def test_criterion_09_additivity_and_state_invariants():
         ["curve", "--points", "60", "--eta-a", "1.5", "--omega-A", "4", "--method",
          "bruteforce"],
     ):
-        texts.append(run_curve(_build_runspec(parser.parse_args(argv))))
+        texts.append(run_sweep(_build_runspec(parser.parse_args(argv))))
     worst_gap = 0.0
     rows = 0
     for text in texts:

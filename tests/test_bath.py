@@ -13,10 +13,8 @@ from dephasing_discord import (
     DomainError,
     GammaMethod,
     Reservoir,
-    decoherence_product,
     gamma_closed,
     gamma_quadrature,
-    spectral_density,
 )
 
 from conftest import reservoirs
@@ -36,28 +34,6 @@ def thermal_series_oracle(x, b):
         float(np.real(loggamma(1.0 + 1.0 / b)))
         - float(np.real(loggamma(1.0 + (1.0 + 1j * x) / b)))
     )
-
-
-def test_spectral_density_values():
-    assert spectral_density(Reservoir(0.2, 1.0, 5.0), 1.0) == pytest.approx(
-        0.07357588823428847, rel=1e-15
-    )
-    assert spectral_density(Reservoir(1.0, 2.0, math.inf), 2.0) == pytest.approx(
-        0.7357588823428847, rel=1e-15
-    )
-    assert spectral_density(Reservoir(0.2, 1.0, 5.0), 0.0) == 0.0
-
-
-def test_spectral_density_peaks_at_cutoff():
-    r = Reservoir(0.7, 1.3, 5.0)
-    grid = np.linspace(0.0, 10.0, 2001)
-    values = np.array([spectral_density(r, w) for w in grid])
-    assert grid[int(np.argmax(values))] == pytest.approx(r.omega_c, abs=0.01)
-
-
-def test_spectral_density_rejects_negative_frequency():
-    with pytest.raises(DomainError):
-        spectral_density(Reservoir(0.2, 1.0, 5.0), -0.1)
 
 
 def test_gamma_closed_reference_value():
@@ -182,12 +158,3 @@ def test_quadrature_prefactor_8_is_a_factor_4_off():
     wrong = gamma_quadrature(reservoir, 2.0, prefactor=8.0).gamma
     right = gamma_closed(reservoir, 2.0).gamma
     assert wrong / right == pytest.approx(4.0, rel=1e-6)
-
-
-@given(reservoirs(), reservoirs(), st.floats(0.0, 20.0, allow_nan=False))
-@settings(max_examples=50, deadline=None)
-def test_decoherence_product_factorizes(bath_a, bath_b, t):
-    product = decoherence_product(bath_a, bath_b, t)
-    assert product == pytest.approx(
-        gamma_closed(bath_a, t).d * gamma_closed(bath_b, t).d, rel=1e-15
-    )

@@ -1,4 +1,5 @@
 """Command-line behavior: schemas, precedence, exit codes, determinism."""
+import hashlib
 import math
 
 import pytest
@@ -10,8 +11,8 @@ from dephasing_discord.cli import (
     _parse_config_file,
     main,
     run_critical_time,
-    run_curve,
     run_figure,
+    run_sweep,
 )
 
 HEADER = "t,d_a,d_b,mutual_info,classical,discord,regime"
@@ -60,7 +61,7 @@ def test_output_file_has_lf_endings(tmp_path):
 
 def test_runs_are_deterministic():
     spec = spec_for(["curve", "--points", "50", "--t-max", "20"])
-    assert run_curve(spec) == run_curve(spec)
+    assert run_sweep(spec) == run_sweep(spec)
     assert run_figure("fig3") == run_figure("fig3")
 
 
@@ -154,12 +155,40 @@ def test_critical_time_without_crossing_emits_empty_row(capsys):
     assert out[1] == ",none,,,"
 
 
+def test_critical_time_takes_physics_flags_only(tmp_path, capsys):
+    for flags in (["--points", "5"], ["--t-max", "3"], ["--method", "quadrature"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["critical-time", *flags])
+        assert exc.value.code == 2
+    # config-file keys stay accepted for every command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 5\nt_max = 3\nmethod = quadrature\n")
+    assert main(["critical-time", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+
+
 def test_crossing_beyond_bracket_cap_exits_3(capsys):
     argv = ["critical-time", "--eta-a", "0.05", "--eta-b", "0.05",
             "--beta-a", "inf", "--beta-b", "inf",
             "--c1", "1", "--c2", "0.05", "--c3", "-0.05"]
     assert main(argv) == 3
     capsys.readouterr()
+
+
+def test_underflowing_decoherence_factors_are_valid_rows(capsys):
+    # hot, strongly coupled baths: Gamma passes ~745 and D = exp(-Gamma)
+    # underflows to 0, the fully dephased limit
+    argv = ["curve", "--beta-a", "0.01", "--beta-b", "0.01",
+            "--eta-a", "1", "--eta-b", "1", "--t-max", "10"]
+    assert main(argv) == 0
+    header, data = rows(capsys.readouterr().out)
+    dephased = [row for row in data if float(row[1]) == 0.0 and float(row[2]) == 0.0]
+    assert len(dephased) == 184
+    for row in data:
+        i, c, d = float(row[3]), float(row[4]), float(row[5])
+        assert abs(i - (c + d)) <= 1e-10
+    for row in dephased:
+        assert float(row[5]) <= 1e-12 and row[6] == "DECAY"
 
 
 def test_surface_sweep_prepends_parameter_column(capsys):
@@ -190,8 +219,8 @@ def test_figure_presets_row_counts():
 
 
 def test_quadrature_method_agrees_with_closed_on_the_grid():
-    closed = run_curve(spec_for(["curve", "--points", "4", "--t-max", "3"]))
-    quad = run_curve(spec_for(
+    closed = run_sweep(spec_for(["curve", "--points", "4", "--t-max", "3"]))
+    quad = run_sweep(spec_for(
         ["curve", "--points", "4", "--t-max", "3", "--method", "quadrature"]))
     for row_c, row_q in zip(closed.split("\n")[1:], quad.split("\n")[1:]):
         if not row_c:
@@ -209,3 +238,31 @@ def test_verify_report_passes_and_flags_injected_error(capsys):
     report = capsys.readouterr().out
     assert "overall: FAIL" in report
     assert "ratio" in report
+
+
+# sha256 of each command's output: any change to these bytes is a change to
+# the program's results and has to be made on purpose.
+GOLDEN = {
+    ("figure", "fig3"):
+        "21cbf620c69fb0c95ee72b587a338af87b99878d73b94831e8ed82e5f7a76f10",
+    ("figure", "fig4"):
+        "73963531937b1f7a27e7fc471aeb2c808f793e1ada7b7f0ba9323d0d7202e563",
+    ("curve",):
+        "a16a26878833a6805b0da1c9da44a6f4a71745acad31dca82976044745740dc4",
+    # the free splittings move no column
+    ("curve", "--omega-A", "3", "--omega-B", "1.7"):
+        "a16a26878833a6805b0da1c9da44a6f4a71745acad31dca82976044745740dc4",
+    ("critical-time",):
+        "e961b72f654d596bc1237f79796e6756afe124192fd3ee24256c5197e213cb13",
+    ("verify",):
+        "91df3314cc4d0c988d4c2053011502c3f9ed39030d9b0609667800526d4cc120",
+    ("curve", "--method", "bruteforce", "--points", "6", "--t-max", "20"):
+        "d29f2d9ecc83fc734044ca2c3d631d09090da4767d39f5f996a6747a27bf90d4",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_output_bytes_match_golden_digest(argv, capsys):
+    assert main(list(argv)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN[argv]

@@ -96,7 +96,7 @@ def test_system_config_validates_state():
 
 
 def test_x_density_matrix_shape_and_invariants():
-    rho = XDensityMatrix(c3=-0.4, alpha=0.3 + 0.2j, gamma=0.5 - 0.1j, t=1.0)
+    rho = XDensityMatrix(c3=-0.4, alpha=-0.3, gamma=0.5, t=1.0)
     m = rho.to_matrix()
     assert_density_matrix(m)
     # only diagonal and anti-diagonal entries may be nonzero
@@ -104,8 +104,9 @@ def test_x_density_matrix_shape_and_invariants():
     for i in range(4):
         x_mask[i, i] = x_mask[i, 3 - i] = True
     assert np.max(np.abs(m[~x_mask])) == 0.0
-    assert m[0, 3] == pytest.approx(np.conj(rho.alpha) / 4.0)
-    assert m[2, 1] == pytest.approx(rho.gamma / 4.0)
+    # rotating frame: the coherences are real and the matrix is symmetric
+    assert m[0, 3] == m[3, 0] == pytest.approx(rho.alpha / 4.0)
+    assert m[1, 2] == m[2, 1] == pytest.approx(rho.gamma / 4.0)
 
 
 def test_x_density_matrix_rejects_out_of_range_coherences():
@@ -129,8 +130,15 @@ def test_discord_point_enforces_additivity():
 
 
 def test_discord_point_rejects_invalid_fields():
+    # D = 0 is the fully dephased limit that exp(-Gamma) underflows to
+    DiscordPoint(1.0, 0.0, 0.9, 0.5, 0.3, 0.2, Regime.DFE)
+    DiscordPoint(1.0, 0.0, 0.0, 0.5, 0.3, 0.2, Regime.DECAY)
     with pytest.raises(Exception):
-        DiscordPoint(1.0, 0.0, 0.9, 0.5, 0.3, 0.2, Regime.DFE)  # d_a out of (0,1]
+        DiscordPoint(1.0, -1e-300, 0.9, 0.5, 0.3, 0.2, Regime.DFE)  # d_a out of [0,1]
+    with pytest.raises(Exception):
+        DiscordPoint(1.0, 0.9, -0.5, 0.5, 0.3, 0.2, Regime.DFE)
+    with pytest.raises(Exception):
+        DiscordPoint(1.0, 1.0 + 1e-15, 0.9, 0.5, 0.3, 0.2, Regime.DFE)
     with pytest.raises(Exception):
         DiscordPoint(1.0, 0.9, 1.5, 0.5, 0.3, 0.2, Regime.DFE)
     with pytest.raises(Exception):

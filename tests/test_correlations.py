@@ -18,15 +18,17 @@ from dephasing_discord import (
     binary_entropy_like,
     classical_bruteforce,
     classical_closed,
-    conditional_state,
     discord,
     discord_decay,
     discord_plateau,
     evolve,
+    gamma_closed,
     mutual_information,
 )
+from dephasing_discord.correlations import _conditional_states
+from dephasing_discord.evolution import eigenvalues
 
-from conftest import entropy_bits, system_configs, times
+from conftest import entropy_bits, partial_trace, system_configs, times
 
 PLATEAU_04 = 0.11870910076930738  # binary_entropy_like(0.4), 53-bit value
 PLATEAU_02 = 0.02904940554533136
@@ -80,15 +82,17 @@ def test_mutual_information_reference_value():
 
 def test_conditional_state_pinned_matrices():
     rho = evolve(plateau_family_config(), 0.0)
-    qubits = QubitPair(0.0, 0.0)
     # equatorial measurement: epsilon = alpha + gamma = 2, populations even
-    m0 = conditional_state(rho, 0, MeasurementAngles(math.pi / 4.0, 0.0), qubits)
+    m0, m1 = _conditional_states(rho, math.pi / 4.0, 0.0)
     assert np.allclose(m0, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-15)
-    m1 = conditional_state(rho, 1, MeasurementAngles(math.pi / 4.0, 0.0), qubits)
     assert np.allclose(m1, np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-15)
     # polar measurement: diagonal with populations (1 -+ c3)/2
-    mz = conditional_state(rho, 0, MeasurementAngles(0.0, 0.0), qubits)
+    mz, _ = _conditional_states(rho, 0.0, 0.0)
     assert np.allclose(mz, np.diag([0.7, 0.3]), atol=1e-15)
+    # array angles broadcast to one state pair per (theta, phi)
+    grid = _conditional_states(rho, np.array([[0.0], [math.pi / 4.0]]), np.zeros(3))
+    assert grid.shape == (2, 2, 3, 2, 2)
+    assert np.allclose(grid[:, 1, 2], [m0, m1], atol=1e-15)
 
 
 @given(
@@ -101,7 +105,7 @@ def test_conditional_state_pinned_matrices():
 @settings(max_examples=150, deadline=None)
 def test_conditional_states_are_single_qubit_density_matrices(config, t, theta, phi, k):
     rho = evolve(config, t)
-    m = conditional_state(rho, k, MeasurementAngles(theta, phi), config.qubits)
+    m = _conditional_states(rho, theta, phi)[k]
     assert m.shape == (2, 2)
     assert abs(np.trace(m) - 1.0) <= 1e-12
     assert np.max(np.abs(m - m.conj().T)) <= 1e-12
@@ -135,8 +139,8 @@ def test_classical_closed_reference_points():
 def test_bruteforce_matches_closed_classical(config, t):
     rho = evolve(config, t)
     closed, _ = classical_closed(rho)
-    grid, _ = classical_bruteforce(rho, config.qubits, refine=False)
-    refined, angles = classical_bruteforce(rho, config.qubits)
+    grid, _ = classical_bruteforce(rho, refine=False)
+    refined, angles = classical_bruteforce(rho)
     assert grid <= closed + 1e-9
     assert grid >= closed - 1e-4
     assert abs(refined - closed) <= 1e-6
@@ -144,23 +148,61 @@ def test_bruteforce_matches_closed_classical(config, t):
     assert 0.0 <= angles.phi < 2.0 * math.pi
 
 
-def test_classical_correlation_is_frame_independent():
-    reference, _ = classical_closed(evolve(plateau_family_config(), 2.7))
-    for omega_a, omega_b in ((0.0, 0.0), (1.0, 1.0), (10.0, 10.0), (10.0, 1.0)):
-        config = plateau_family_config(omega_a=omega_a, omega_b=omega_b)
-        rho = evolve(config, 2.7)
-        closed, _ = classical_closed(rho)
-        brute, _ = classical_bruteforce(rho, config.qubits)
-        assert closed == pytest.approx(reference, abs=1e-14)
-        assert abs(brute - closed) <= 1e-8
+def _dense_grid_classical(matrix, phi_offset=0.0):
+    """max of S(A) - sum_k p_k S(A|k) over projective measurements on B along
+    the Bloch directions (2*theta, phi + phi_offset) of the library's
+    91 x 181 (theta, phi) grid, computed from the 4x4 matrix alone."""
+    theta = np.linspace(0.0, 0.5 * math.pi, 91)[:, None]
+    phi = np.linspace(0.0, 2.0 * math.pi, 181, endpoint=False)[None, :] + phi_offset
+    n = np.stack(np.broadcast_arrays(
+        np.sin(2 * theta) * np.cos(phi), np.sin(2 * theta) * np.sin(phi),
+        np.cos(2 * theta) + 0 * phi), axis=-1).reshape(-1, 3)
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    r = np.asarray(matrix).reshape(2, 2, 2, 2)
+    conditional = 0.0
+    for sign in (1.0, -1.0):
+        proj = 0.5 * (np.eye(2) + sign * np.einsum("gx,xbc->gbc", n, pauli))
+        unnormalized = np.einsum("gcb,ibjc->gij", proj, r)
+        p_k = np.trace(unnormalized, axis1=1, axis2=2).real
+        lams = np.clip(np.linalg.eigvalsh(unnormalized / p_k[:, None, None]), 0.0, 1.0)
+        entropies = -np.sum(lams * np.log2(np.where(lams > 0.0, lams, 1.0)), axis=-1)
+        conditional = conditional + p_k * entropies
+    return float(np.max(entropy_bits(np.linalg.eigvalsh(partial_trace(matrix, 0))) - conditional))
+
+
+@given(system_configs(), times)
+@settings(max_examples=30, deadline=None)
+def test_classical_correlation_is_frame_independent(config, t):
+    # The state is kept in the rotating frame.  The lab-frame state carries
+    # the free phases on its coherences, the local unitary
+    # diag(1, exp(-i omega_a t)) x diag(1, exp(-i omega_b t)), which moves no
+    # correlation: on B it turns the azimuth of every measurement by omega_b*t.
+    rho = evolve(config, t)
+    rotating = rho.to_matrix()
+    omega_a, omega_b = config.qubits.omega_a, config.qubits.omega_b
+    lab = rotating.astype(complex)
+    lab[3, 0] *= np.exp(-1j * (omega_a + omega_b) * t)
+    lab[2, 1] *= np.exp(1j * (omega_b - omega_a) * t)
+    lab[0, 3], lab[1, 2] = np.conj(lab[3, 0]), np.conj(lab[2, 1])
+    # the stored coherences are the real (c1 -+ c2) * D_A * D_B
+    product = gamma_closed(config.bath_a, t).d * gamma_closed(config.bath_b, t).d
+    assert rho.alpha == (config.state.c1 - config.state.c2) * product
+    assert rho.gamma == (config.state.c1 + config.state.c2) * product
+    spectrum = np.sort(np.linalg.eigvalsh(lab))
+    assert np.max(np.abs(spectrum - np.sort(eigenvalues(rho)))) <= 1e-10
+    assert mutual_information(rho) == pytest.approx(2.0 - entropy_bits(spectrum), abs=1e-10)
+    grid = _dense_grid_classical(rotating)
+    assert _dense_grid_classical(lab, -omega_b * t) == pytest.approx(grid, abs=1e-10)
+    assert classical_bruteforce(rho, refine=False)[0] == pytest.approx(grid, abs=1e-10)
+    assert grid <= classical_closed(rho)[0] + 1e-9
 
 
 def test_bruteforce_enforces_minimum_grid():
     rho = evolve(plateau_family_config(), 1.0)
     with pytest.raises(DomainError):
-        classical_bruteforce(rho, QubitPair(0.0, 0.0), n_theta=45)
+        classical_bruteforce(rho, n_theta=45)
     with pytest.raises(DomainError):
-        classical_bruteforce(rho, QubitPair(0.0, 0.0), n_phi=90)
+        classical_bruteforce(rho, n_phi=90)
 
 
 @given(system_configs(), times)
@@ -173,12 +215,12 @@ def test_discord_breakdown_is_consistent_and_nonnegative(config, t):
     assert 0.0 <= out.chi <= 1.0
 
 
-def test_discord_bruteforce_route_needs_qubits():
+def test_discord_bruteforce_route_reports_angles():
     rho = evolve(plateau_family_config(), 1.0)
-    with pytest.raises(DomainError):
-        discord(rho, method=ClassicalMethod.BRUTEFORCE)
-    out = discord(rho, method=ClassicalMethod.BRUTEFORCE, qubits=QubitPair(0.0, 0.0))
+    assert discord(rho).optimal_angles is None
+    out = discord(rho, method=ClassicalMethod.BRUTEFORCE)
     assert out.optimal_angles is not None
+    assert out.classical == pytest.approx(discord(rho).classical, abs=1e-8)
 
 
 def test_plateau_and_decay_formulas():
@@ -198,7 +240,7 @@ def test_plateau_and_decay_formulas():
 def test_special_family_discord_follows_the_two_branch_formula():
     # c1 = 1, c2 = -c3: before the crossing the discord sits at the plateau
     # value, after it it equals the kernel of the decohering product
-    from dephasing_discord import critical_time_solve, decoherence_product
+    from dephasing_discord import critical_time_solve
 
     config = plateau_family_config()
     t_p = critical_time_solve(config).t_p
@@ -207,7 +249,7 @@ def test_special_family_discord_follows_the_two_branch_formula():
         assert out.discord == pytest.approx(PLATEAU_04, abs=1e-12)
     for t in (1.05 * t_p, 2.0 * t_p, 5.0 * t_p):
         out = discord(evolve(config, t))
-        dd = decoherence_product(config.bath_a, config.bath_b, t)
+        dd = gamma_closed(config.bath_a, t).d * gamma_closed(config.bath_b, t).d
         assert dd < 0.4
         assert out.discord == pytest.approx(discord_decay(dd), abs=1e-12)
 

@@ -17,8 +17,8 @@ from dephasing_discord import (
     XStateParams,
     critical_time_closed,
     critical_time_solve,
-    decoherence_product,
     discord_plateau,
+    gamma_closed,
     scan_trajectory,
 )
 
@@ -111,7 +111,8 @@ def test_no_crossing_cases_return_none():
 def test_residual_is_a_true_gap():
     config = equal_bath_config(eta=0.7, beta=7.0)
     result = critical_time_solve(config)
-    gap = decoherence_product(config.bath_a, config.bath_b, result.t_p) - 0.4
+    t_p = result.t_p
+    gap = gamma_closed(config.bath_a, t_p).d * gamma_closed(config.bath_b, t_p).d - 0.4
     assert abs(gap) == pytest.approx(abs(result.residual), abs=1e-12)
 
 
