@@ -17,16 +17,21 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
 
-from .core import DomainError, QuadratureFailure, Reservoir
+from .core import DomainError, QuadratureFailure, Reservoir, _elementwise, _reject
 
 # Truncation target for the thermal series (absolute, applied to Gamma).
 SERIES_TAIL_TARGET = 1e-13
 # Hard cap on the number of explicitly summed series terms.
 SERIES_TERM_CAP = 10**7
+# Terms per chunk of the vectorized series (a larger N takes one row per chunk).
+_CHUNK_ELEMENTS = 2**15
 # The quadrature route must certify at least this absolute accuracy.
 QUAD_ERROR_LIMIT = 1e-9
 _QUAD_PANEL_EPSABS = 2e-13
@@ -37,67 +42,160 @@ class GammaMethod(Enum):
     QUADRATURE = "quadrature"
 
 
+# Bound once: an Enum member lookup costs about as much as a whole T = 0
+# evaluation's arithmetic.
+_CLOSED_FORM = GammaMethod.CLOSED_FORM
+
+
 @dataclass(frozen=True)
 class DecoherenceEval:
-    """Result of one Gamma evaluation: exponent, factor, route, certified error bound."""
+    """Result of one Gamma evaluation: exponent, factor, route, certified error bound.
 
-    gamma: float
-    d: float
+    The numeric fields are floats, or arrays for an array of times.
+    """
+
+    gamma: float | np.ndarray
+    d: float | np.ndarray
     method: GammaMethod
-    est_error: float
+    est_error: float | np.ndarray
 
 
-def _series_tail_third_derivative(u: float, xsq: float) -> float:
-    # d^3/du^3 of ln(1 + xsq/u^2); negative for all u > 0.
+# The libm functions of the closed form, for a float and elementwise for an
+# array.  pow(v, 3.0) is what float ** 3 computes.
+_FLOAT_LIBM = SimpleNamespace(
+    log1p=math.log1p, exp=math.exp, sqrt=math.sqrt, atan=math.atan, pow=math.pow
+)
+_ARRAY_LIBM = SimpleNamespace(
+    log1p=partial(_elementwise, math.log1p),
+    exp=partial(_elementwise, math.exp),
+    sqrt=partial(_elementwise, math.sqrt),
+    atan=partial(_elementwise, math.atan),
+    pow=lambda v, p: np.fromiter(map(math.pow, v.tolist(), repeat(p)), float, v.size),
+)
+
+
+def _tail_bound(u: float, xsq, b: float, libm):
+    """(7/5760) b^3 |d^3/du^3 ln(1 + xsq/u^2)| at the midpoint u, elementwise in xsq.
+
+    The magnitude of the next term of the midpoint Euler-Maclaurin expansion
+    of the series tail; the third derivative is negative for all u > 0.
+    """
     usq = u * u
-    return -4.0 * xsq * (6.0 * usq * usq + 3.0 * usq * xsq + xsq * xsq) / (
-        u**3 * (usq + xsq) ** 3
+    third = -4.0 * xsq * (6.0 * usq * usq + 3.0 * usq * xsq + xsq * xsq) / (
+        u**3 * libm.pow(usq + xsq, 3.0)
     )
+    return (7.0 / 5760.0) * b**3 * abs(third)
 
 
-def _thermal_series(xsq: float, b: float) -> tuple[float, float]:
+def _denominators(n_terms: int, b: float) -> np.ndarray:
+    return (1.0 + b * np.arange(1, n_terms + 1, dtype=float)) ** 2
+
+
+def _with_tail(partial_sum, xsq, u, b: float, libm):
+    """Partial sum plus the tail integral and its first derivative correction."""
+    x = libm.sqrt(xsq)
+    integral = (2.0 * x * libm.atan(x / u) - u * libm.log1p(xsq / (u * u))) / b
+    correction = (b / 24.0) * (-2.0 * xsq / (u * (u * u + xsq)))
+    return partial_sum + integral + correction
+
+
+def _thermal_series(xsq, b: float):
     """sum_{n>=1} ln(1 + xsq/(1+b*n)^2) with a certified truncation bound.
 
-    The first N terms are summed explicitly; the remainder is replaced by the
-    midpoint Euler-Maclaurin expansion (integral plus first derivative
-    correction), whose error is bounded by the magnitude of the next term of
-    the expansion.  N is doubled until that bound meets SERIES_TAIL_TARGET.
+    xsq is a float or a 1-D array.  Per point, the first N terms are summed
+    explicitly; the remainder is replaced by the midpoint Euler-Maclaurin
+    expansion (integral plus first derivative correction), whose error is
+    bounded by the magnitude of the next term of the expansion.  N is doubled
+    from 32 until that bound meets SERIES_TAIL_TARGET.
+
+    The points that stop at the same N share one row of denominators, and
+    each point's N terms stay one contiguous row of the (pairwise) sum, so
+    every value equals the one-point sum.  Chunks split the points, never a
+    row, and hold at most max(N, _CHUNK_ELEMENTS) terms.
     """
-    if xsq == 0.0:
-        return 0.0, 0.0
+    # One time, as in each step of the crossing solver's bisection: the same
+    # rule in plain floats, where numpy's per-call cost would dominate.
+    if not isinstance(xsq, np.ndarray):
+        if xsq == 0.0:
+            return 0.0, 0.0
+        n_terms = 32
+        while True:
+            u_mid = 1.0 + b * (n_terms + 0.5)
+            bound = _tail_bound(u_mid, xsq, b, _FLOAT_LIBM)
+            if bound <= SERIES_TAIL_TARGET or n_terms >= SERIES_TERM_CAP:
+                break
+            n_terms *= 2
+        partial = float(np.add.reduce(np.log1p(xsq / _denominators(n_terms, b))))
+        return _with_tail(partial, xsq, u_mid, b, _FLOAT_LIBM), bound
+    series = np.zeros_like(xsq)
+    bound = np.zeros_like(xsq)
+    u_mid = np.ones_like(xsq)
+    pending = np.flatnonzero(xsq)
     n_terms = 32
-    while True:
-        u_mid = 1.0 + b * (n_terms + 0.5)
-        bound = (7.0 / 5760.0) * b**3 * abs(_series_tail_third_derivative(u_mid, xsq))
-        if bound <= SERIES_TAIL_TARGET or n_terms >= SERIES_TERM_CAP:
-            break
+    while pending.size:
+        u = 1.0 + b * (n_terms + 0.5)
+        pending_bound = _tail_bound(u, xsq[pending], b, _ARRAY_LIBM)
+        done = pending_bound <= SERIES_TAIL_TARGET
+        if n_terms >= SERIES_TERM_CAP:
+            done[:] = True
+        finished = pending[done]
+        bound[finished] = pending_bound[done]
+        u_mid[finished] = u
+        den = _denominators(n_terms, b)
+        rows = max(1, _CHUNK_ELEMENTS // n_terms)
+        for lo in range(0, finished.size, rows):
+            chunk = finished[lo : lo + rows]
+            terms = xsq[chunk, None] / den
+            series[chunk] = np.add.reduce(np.log1p(terms, out=terms), axis=1)
+        pending = pending[~done]
         n_terms *= 2
-    n = np.arange(1, n_terms + 1, dtype=float)
-    partial = float(np.sum(np.log1p(xsq / (1.0 + b * n) ** 2)))
-    x = math.sqrt(xsq)
-    integral = (2.0 * x * math.atan(x / u_mid) - u_mid * math.log1p(xsq / (u_mid * u_mid))) / b
-    correction = (b / 24.0) * (-2.0 * xsq / (u_mid * (u_mid * u_mid + xsq)))
-    return partial + integral + correction, bound
+    summed = xsq != 0.0
+    series[summed] = _with_tail(
+        series[summed], xsq[summed], u_mid[summed], b, _ARRAY_LIBM
+    )
+    return series, bound
 
 
-def gamma_closed(reservoir: Reservoir, t: float) -> DecoherenceEval:
+def _times(t):
+    """t as a float, or a 1-D array of floats; DomainError unless every t >= 0."""
+    if not isinstance(t, np.ndarray) or t.ndim == 0:
+        t = float(t)
+        if not t >= 0.0:
+            raise DomainError(f"t must be >= 0, got {t!r}")
+        return t
+    if t.ndim != 1:
+        raise DomainError(f"t must be a float or a 1-D array, got shape {t.shape}")
+    t = t.astype(float, copy=False)
+    _reject(~(t >= 0.0), DomainError, t, lambda i: "t must be >= 0")
+    return t
+
+
+def gamma_closed(reservoir: Reservoir, t) -> DecoherenceEval:
     """Dephasing exponent via the summed closed form.
 
+    t is a float, or a 1-D array of times; the fields of the result are then
+    arrays of the same length, each element equal to the float evaluation.
     est_error reports the certified truncation bound of the thermal series
     (zero at beta = inf, where the result is exact up to rounding).
     """
-    t = float(t)
-    if not t >= 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    # A float (each step of the crossing solver's bisection) is tested first
+    # and takes plain math, so the array support costs it nothing.
+    if type(t) is float or not (isinstance(t, np.ndarray) and t.ndim):
+        t = float(t)
+        if not t >= 0.0:
+            raise DomainError(f"t must be >= 0, got {t!r}")
+        log1p, exp, err = math.log1p, math.exp, 0.0
+    else:
+        t = _times(t)
+        log1p, exp, err = _ARRAY_LIBM.log1p, _ARRAY_LIBM.exp, np.zeros_like(t)
     x = reservoir.omega_c * t
-    gamma = 0.5 * math.log1p(x * x)
-    err = 0.0
+    gamma = 0.5 * log1p(x * x)
     if not math.isinf(reservoir.beta):
         series, bound = _thermal_series(x * x, reservoir.beta * reservoir.omega_c)
-        gamma += series
+        gamma = gamma + series
         err = reservoir.eta * bound
-    gamma *= reservoir.eta
-    return DecoherenceEval(gamma, math.exp(-gamma), GammaMethod.CLOSED_FORM, err)
+    gamma = gamma * reservoir.eta
+    return DecoherenceEval(gamma, exp(-gamma), _CLOSED_FORM, err)
 
 
 def gamma_quadrature(

@@ -24,6 +24,7 @@ from .core import (
     NoRootInRange,
     QuadratureFailure,
     QubitPair,
+    Regime,
     Reservoir,
     SystemConfig,
     XStateParams,
@@ -34,10 +35,19 @@ from .correlations import (
     classical_closed,
     discord_plateau,
 )
-from .dfe import critical_time_closed, critical_time_solve, scan_trajectory
-from .evolution import evolve
+from .dfe import (
+    _time_grid,
+    _trajectory_columns,
+    critical_time_closed,
+    critical_time_solve,
+    scan_trajectory,
+)
+from .evolution import _decohering_factor, evolve
 
 _CSV_HEADER = ("t", "d_a", "d_b", "mutual_info", "classical", "discord", "regime")
+# One data row after the prefix columns; .17g as in _fmt.
+_ROW = "{:.17g}," * (len(_CSV_HEADER) - 1) + "{}"
+_REGIME_LABEL = {True: Regime.DFE.value, False: Regime.DECAY.value}
 _VERIFY_SEED = 20120705
 _SWEEP_PARAMS = ("beta", "beta_a", "beta_b", "eta", "eta_a", "eta_b", "kappa")
 
@@ -229,15 +239,31 @@ def _with_sweep_value(config: SystemConfig, param: str, value: float) -> SystemC
 def _sweep_csv(
     columns: tuple[str, ...], cases, t_max: float, points: int, method: RunMethod
 ) -> str:
-    """One CSV row per grid point of each (column values, config) case in cases."""
+    """One CSV row per grid point of each (column values, config) case in cases.
+
+    Each distinct reservoir's D(t) is computed once per call: equal baths,
+    and the bath a sweep leaves fixed, share one curve.
+    """
     classical_method, gamma_method = _METHODS[method]
-    lines = [",".join((*columns, *_CSV_HEADER))]
+    t = _time_grid(t_max, points)
+    curves: dict[Reservoir, np.ndarray] = {}
+
+    def curve(reservoir: Reservoir) -> np.ndarray:
+        if reservoir not in curves:
+            curves[reservoir] = _decohering_factor(reservoir, t, gamma_method)
+        return curves[reservoir]
+
+    # One string per case, not per row: a figure's rows are then never all
+    # alive as separate objects.
+    blocks = [",".join((*columns, *_CSV_HEADER))]
     for prefix, config in cases:
-        lead = "".join(_fmt(v) + "," for v in prefix)
-        for p in scan_trajectory(config, t_max, points, classical_method, gamma_method):
-            values = (p.t, p.d_a, p.d_b, p.mutual_info, p.classical, p.discord)
-            lines.append(lead + ",".join(map(_fmt, values)) + "," + p.regime.value)
-    return "\n".join(lines) + "\n"
+        row = "".join(_fmt(v) + "," for v in prefix) + _ROW
+        *values, dfe = _trajectory_columns(
+            config, t, curve(config.bath_a), curve(config.bath_b), classical_method
+        )
+        regimes = [_REGIME_LABEL[flag] for flag in dfe.tolist()]
+        blocks.append("\n".join(map(row.format, *(v.tolist() for v in values), regimes)))
+    return "\n".join(blocks) + "\n"
 
 
 def run_sweep(spec: RunSpec) -> str:

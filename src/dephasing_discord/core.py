@@ -9,6 +9,7 @@ is encoded as beta = math.inf.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,11 +56,63 @@ class Regime(Enum):
     DECAY = "DECAY"
 
 
+def _elementwise(fn, values):
+    """A math function of a float, or of each element of an array.
+
+    numpy's SIMD log2, log1p and exp differ from libm in the last bit on a
+    few percent of inputs, so array code calls the same libm as float code
+    and every element keeps the float result.
+    """
+    if isinstance(values, np.ndarray):
+        return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(
+            values.shape
+        )
+    return fn(values)
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _at(values, i):
+    """Element i of a column, or the value itself for a single sample."""
+    return float(values if i is None or np.ndim(values) == 0 else values[i])
+
+
+def _max(a, b):
+    """Python's max(a, b) elementwise (a unless b > a, so nan in b is passed over)."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's min(a, b) elementwise (a unless b < a)."""
+    return np.where(b < a, b, a)
+
+
+def _plain(value):
+    """A result as a float for a single sample, as an array for a column."""
+    return value if np.ndim(value) else float(value)
+
+
+def _reject(bad, error: type[Exception], t, describe) -> None:
+    """Raise error for the first sample where bad holds, naming its time.
+
+    bad is one bool, or one bool per point of the time column t;
+    describe(i) words the failure of sample i (None for a single sample).
+    """
+    if bad is False or (bad is not True and not bad.any()):
+        return
+    i = int(np.argmax(bad)) if np.ndim(bad) else None
+    raise error(f"{describe(i)} at t = {_at(t, i)!r}")
+
+
+def _nonfinite(value):
+    """nan or infinite, elementwise; a plain bool for a float, which _reject
+    then handles without numpy."""
+    return (value != value) | (abs(value) > sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -160,31 +213,35 @@ class XDensityMatrix:
     exp(-i (omega_a + omega_b) t) and exp(+i (omega_b - omega_a) t) of the
     lab frame are a local unitary and move no correlation, so they are not
     stored.  The diagonal is fixed by c3 and normalization.
+
+    alpha, gamma and t are floats for one state, or equal-length 1-D arrays
+    for a column of states along a time grid; the functions of the state in
+    evolution and correlations then return arrays.
     """
 
     c3: float
-    alpha: float
-    gamma: float
-    t: float
+    alpha: float | np.ndarray
+    gamma: float | np.ndarray
+    t: float | np.ndarray
 
     def __post_init__(self):
         c3 = _require_finite("c3", self.c3)
-        t = _require_finite("t", self.t)
-        if t < 0.0:
-            raise DomainError(f"t must be >= 0, got {t!r}")
+        t = self.t
+        _reject(_nonfinite(t), DomainError, t, lambda i: "t must be finite")
+        _reject(t < 0.0, DomainError, t, lambda i: f"t must be >= 0, got {_at(t, i)!r}")
         if abs(c3) > 1.0 + EIGENVALUE_TOL:
             raise NonPhysicalState(f"|c3| = {abs(c3)!r} exceeds 1")
-        if abs(self.alpha) > 1.0 + c3 + EIGENVALUE_TOL:
-            raise NonPhysicalState(
-                f"|alpha| = {abs(self.alpha)!r} exceeds 1 + c3 = {1.0 + c3!r}"
-            )
-        if abs(self.gamma) > 1.0 - c3 + EIGENVALUE_TOL:
-            raise NonPhysicalState(
-                f"|gamma| = {abs(self.gamma)!r} exceeds 1 - c3 = {1.0 - c3!r}"
-            )
+        mod_alpha, mod_gamma = abs(self.alpha), abs(self.gamma)
+        _reject(mod_alpha > 1.0 + c3 + EIGENVALUE_TOL, NonPhysicalState, t,
+                lambda i: f"|alpha| = {_at(mod_alpha, i)!r} exceeds 1 + c3 = {1.0 + c3!r}")
+        _reject(mod_gamma > 1.0 - c3 + EIGENVALUE_TOL, NonPhysicalState, t,
+                lambda i: f"|gamma| = {_at(mod_gamma, i)!r} exceeds 1 - c3 = {1.0 - c3!r}")
 
     def to_matrix(self) -> np.ndarray:
-        """Dense real 4x4 rotating-frame matrix in the product basis (gg, ge, eg, ee)."""
+        """Dense real 4x4 rotating-frame matrix in the product basis (gg, ge, eg, ee).
+
+        Defined for a single state.
+        """
         c3, al, ga = self.c3, self.alpha, self.gamma
         return 0.25 * np.array(
             [
@@ -194,6 +251,27 @@ class XDensityMatrix:
                 [al, 0.0, 0.0, 1.0 + c3],
             ]
         )
+
+
+def _check_samples(t, d_a, d_b, mutual_info, classical, discord) -> None:
+    """The invariants of a DiscordPoint, for one sample or for columns."""
+    named = {"t": t, "d_a": d_a, "d_b": d_b, "mutual_info": mutual_info,
+             "classical": classical, "discord": discord}
+    for name, value in named.items():
+        _reject(_nonfinite(value), DomainError, t,
+                lambda i: f"{name} must be finite, got {_at(value, i)!r}")
+    _reject(t < 0.0, DomainError, t, lambda i: f"t must be >= 0, got {_at(t, i)!r}")
+    # D = exp(-Gamma) underflows to 0 once Gamma exceeds ~745: the
+    # physical limit of a fully dephased pair, not an invalid input.
+    _reject((d_a < 0.0) | (d_a > 1.0) | (d_b < 0.0) | (d_b > 1.0), DomainError, t,
+            lambda i: f"decohering factors must lie in [0, 1], got {_at(d_a, i)!r}, {_at(d_b, i)!r}")
+    for name in ("mutual_info", "classical", "discord"):
+        value = named[name]
+        _reject((value < -DISCORD_CLAMP_TOL) | (value > 2.0 + DISCORD_CLAMP_TOL), DomainError, t,
+                lambda i: f"{name} = {_at(value, i)!r} outside [0, 2]")
+    gap = mutual_info - (classical + discord)
+    _reject(abs(gap) > 1e-10, ConsistencyError, t,
+            lambda i: f"mutual_info - (classical + discord) = {_at(gap, i)!r}")
 
 
 @dataclass(frozen=True)
@@ -213,24 +291,8 @@ class DiscordPoint:
     regime: Regime
 
     def __post_init__(self):
-        for name in ("t", "d_a", "d_b", "mutual_info", "classical", "discord"):
-            _require_finite(name, getattr(self, name))
-        if self.t < 0.0:
-            raise DomainError(f"t must be >= 0, got {self.t!r}")
-        # D = exp(-Gamma) underflows to 0 once Gamma exceeds ~745: the
-        # physical limit of a fully dephased pair, not an invalid input.
-        if not (0.0 <= self.d_a <= 1.0 and 0.0 <= self.d_b <= 1.0):
-            raise DomainError(
-                f"decohering factors must lie in [0, 1], got {self.d_a!r}, {self.d_b!r}"
-            )
-        for name in ("mutual_info", "classical", "discord"):
-            value = getattr(self, name)
-            if not (-DISCORD_CLAMP_TOL <= value <= 2.0 + DISCORD_CLAMP_TOL):
-                raise DomainError(f"{name} = {value!r} outside [0, 2]")
-        gap = self.mutual_info - (self.classical + self.discord)
-        if abs(gap) > 1e-10:
-            raise ConsistencyError(
-                f"mutual_info - (classical + discord) = {gap!r} at t = {self.t!r}"
-            )
+        _check_samples(
+            self.t, self.d_a, self.d_b, self.mutual_info, self.classical, self.discord
+        )
         if not isinstance(self.regime, Regime):
             raise DomainError(f"regime must be a Regime, got {self.regime!r}")

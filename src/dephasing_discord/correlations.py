@@ -19,6 +19,12 @@ from .core import (
     DISCORD_CLAMP_TOL,
     DomainError,
     XDensityMatrix,
+    _at,
+    _elementwise,
+    _max,
+    _min,
+    _plain,
+    _reject,
 )
 from .evolution import eigenvalues
 
@@ -27,6 +33,7 @@ _DOMAIN_SLACK = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MIN_THETA_POINTS = 91
 _MIN_PHI_POINTS = 181
+_QUARTER_TURNS = (0.5 * math.pi, math.pi, 1.5 * math.pi)
 _REFINE_TOL = 1e-10
 
 
@@ -51,40 +58,49 @@ class MeasurementAngles:
 
 @dataclass(frozen=True)
 class CorrelationBreakdown:
-    """Mutual information split into classical correlation and discord."""
+    """Mutual information split into classical correlation and discord.
 
-    mutual_info: float
-    classical: float
-    discord: float
-    chi: float
-    optimal_angles: MeasurementAngles | None
+    Floats for one state, arrays (and a list of angles) for a column.
+    """
+
+    mutual_info: float | np.ndarray
+    classical: float | np.ndarray
+    discord: float | np.ndarray
+    chi: float | np.ndarray
+    optimal_angles: MeasurementAngles | list[MeasurementAngles] | None
 
 
-def binary_entropy_like(x: float) -> float:
+def binary_entropy_like(x):
     """(1/2) * [(1-x)*log2(1-x) + (1+x)*log2(1+x)] for x in [0, 1].
 
     Increasing from 0 to 1 on the unit interval with 0*log(0) read as 0.
     Inputs within 1e-9 of the interval are clamped; anything further out
-    raises DomainError.
+    raises DomainError.  x is a float, or an array evaluated elementwise.
     """
-    x = float(x)
-    if not -_DOMAIN_SLACK <= x <= 1.0 + _DOMAIN_SLACK:
-        raise DomainError(f"argument must lie in [0, 1], got {x!r}")
-    x = min(max(x, 0.0), 1.0)
-    if x == 1.0:
-        return 1.0
-    low = (1.0 - x) * math.log1p(-x)
-    high = (1.0 + x) * math.log1p(x)
-    return 0.5 * (low + high) / _LN2
+    if not isinstance(x, np.ndarray):
+        x = float(x)
+    outside = (x != x) | (x < -_DOMAIN_SLACK) | (x > 1.0 + _DOMAIN_SLACK)
+    if np.any(outside):
+        raise DomainError(
+            f"argument must lie in [0, 1], got {float(np.asarray(x)[outside][0])!r}"
+        )
+    x = _min(_max(x, 0.0), 1.0)
+    one = x == 1.0
+    x = np.where(one, 0.0, x)  # log1p(-1) is a domain error; that value is 1
+    low = (1.0 - x) * _elementwise(math.log1p, -x)
+    high = (1.0 + x) * _elementwise(math.log1p, x)
+    return _plain(np.where(one, 1.0, 0.5 * (low + high) / _LN2))
 
 
-def mutual_information(rho: XDensityMatrix) -> float:
+def mutual_information(rho: XDensityMatrix):
     """I = 2 + sum_i lambda_i log2 lambda_i over the X-state spectrum."""
     total = 2.0
     for lam in eigenvalues(rho):
-        if lam > 0.0:
-            total += lam * math.log2(lam)
-    return total
+        positive = lam > 0.0
+        total = total + np.where(positive, lam, 0.0) * _elementwise(
+            math.log2, np.where(positive, lam, 1.0)
+        )
+    return _plain(total)
 
 
 def _conditional_states(rho: XDensityMatrix, theta, phi) -> np.ndarray:
@@ -113,9 +129,9 @@ def _conditional_states(rho: XDensityMatrix, theta, phi) -> np.ndarray:
     return states
 
 
-def classical_closed(rho: XDensityMatrix) -> tuple[float, float]:
+def classical_closed(rho: XDensityMatrix):
     """Closed-form classical correlation and the branch variable chi."""
-    chi = max(abs(rho.c3), 0.5 * (abs(rho.alpha) + abs(rho.gamma)))
+    chi = _plain(_max(abs(rho.c3), 0.5 * (abs(rho.alpha) + abs(rho.gamma))))
     return binary_entropy_like(chi), chi
 
 
@@ -162,8 +178,8 @@ def classical_bruteforce(
 ) -> tuple[float, MeasurementAngles]:
     """Classical correlation by direct search over measurement angles.
 
-    Maximizes 1 - sum_k (1/2) S(rho_A|k(theta, phi)) on a
-    theta x phi grid, then sharpens the grid argmax with one golden-section
+    Maximizes 1 - sum_k (1/2) S(rho_A|k(theta, phi)) on a theta x phi grid
+    (n_phi even steps plus the quarter turns pi/2, pi, 3pi/2), then sharpens the grid argmax with one golden-section
     pass per angle.  Ties resolve to the smallest theta, then smallest phi.
     """
     if n_theta < _MIN_THETA_POINTS or n_phi < _MIN_PHI_POINTS:
@@ -172,7 +188,9 @@ def classical_bruteforce(
             f" got {n_theta} x {n_phi}"
         )
     thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    # The optimum of an X state lies at phi = 0 or pi/2 (mod pi), which n_phi
+    # steps miss unless 4 divides n_phi: the quarter turns join the grid.
+    phis = np.union1d(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False), _QUARTER_TURNS)
     states = _conditional_states(rho, thetas[:, None], phis)
     objective = 1.0 - 0.5 * np.sum(_entropies_bits(states), axis=0)
     flat_index = int(np.argmax(objective))  # row-major: smallest theta, then phi
@@ -207,20 +225,27 @@ def discord(
     """Mutual information minus classical correlation, clamped at zero.
 
     A deficit beyond DISCORD_CLAMP_TOL is treated as an internal inconsistency
-    rather than clamped away.
+    rather than clamped away.  For a column of states the fields are arrays,
+    and optimal_angles is a list with one entry per state.
     """
     info = mutual_information(rho)
     classical, chi = classical_closed(rho)
     angles = None
     if method is ClassicalMethod.BRUTEFORCE:
-        classical, angles = classical_bruteforce(rho)
+        if np.ndim(rho.t):
+            found = [
+                classical_bruteforce(XDensityMatrix(rho.c3, a, g, t))
+                for a, g, t in zip(rho.alpha.tolist(), rho.gamma.tolist(), rho.t.tolist())
+            ]
+            classical = np.array([value for value, _ in found])
+            angles = [best for _, best in found]
+        else:
+            classical, angles = classical_bruteforce(rho)
     value = info - classical
-    if value < -DISCORD_CLAMP_TOL:
-        raise ConsistencyError(
-            f"discord = {value!r} below -{DISCORD_CLAMP_TOL}; paths disagree"
-        )
+    _reject(value < -DISCORD_CLAMP_TOL, ConsistencyError, rho.t,
+            lambda i: f"discord = {_at(value, i)!r} below -{DISCORD_CLAMP_TOL}; paths disagree")
     return CorrelationBreakdown(
-        info, classical, value if value > 0.0 else 0.0, chi, angles
+        info, classical, _plain(np.where(value > 0.0, value, 0.0)), chi, angles
     )
 
 
@@ -233,8 +258,11 @@ def discord_plateau(c3: float) -> float:
 
 
 def discord_decay(d_product: float) -> float:
-    """Discord after the transition, a function of D_A*D_B alone."""
+    """Discord after the transition, a function of D_A*D_B alone.
+
+    A product of 0 (both coherences fully dephased) gives f(0) = 0.
+    """
     d_product = float(d_product)
-    if not 0.0 < d_product <= 1.0 + _DOMAIN_SLACK:
-        raise DomainError(f"d_product must lie in (0, 1], got {d_product!r}")
+    if not 0.0 <= d_product <= 1.0 + _DOMAIN_SLACK:
+        raise DomainError(f"d_product must lie in [0, 1], got {d_product!r}")
     return binary_entropy_like(min(d_product, 1.0))

@@ -19,9 +19,10 @@ from .core import (
     NoRootInRange,
     Regime,
     SystemConfig,
+    _check_samples,
 )
 from .correlations import ClassicalMethod, discord
-from .evolution import _assemble, _decohering_factors
+from .evolution import _assemble, _decohering_factor
 
 # Bisection stops when the bracket is this narrow (in units of 1/omega_c).
 _BRACKET_WIDTH = 1e-12
@@ -99,6 +100,33 @@ def critical_time_solve(config: SystemConfig) -> CriticalTime | None:
     return CriticalTime(t_p, CriticalTimeMethod.BISECTION, (t_lo, t_hi), gap(t_p))
 
 
+def _time_grid(t_max: float, n_points: int) -> np.ndarray:
+    """The uniform grid of n_points times over [0, t_max]."""
+    t_max = float(t_max)
+    if not t_max > 0.0 or not math.isfinite(t_max):
+        raise DomainError(f"t_max must be > 0, got {t_max!r}")
+    if int(n_points) != n_points or n_points < 2:
+        raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
+    return np.linspace(0.0, t_max, int(n_points))
+
+
+def _trajectory_columns(
+    config: SystemConfig,
+    t: np.ndarray,
+    d_a: np.ndarray,
+    d_b: np.ndarray,
+    classical_method: ClassicalMethod,
+) -> tuple[np.ndarray, ...]:
+    """Columns t, d_a, d_b, mutual_info, classical, discord and the DFE flag
+    of a trajectory (see scan_trajectory), each checked once against the
+    invariants of a DiscordPoint."""
+    out = discord(_assemble(config, t, d_a, d_b), classical_method)
+    _check_samples(t, d_a, d_b, out.mutual_info, out.classical, out.discord)
+    mod_c3 = abs(config.state.c3)
+    dfe = (d_a * d_b >= mod_c3) & (mod_c3 > 0.0)
+    return t, d_a, d_b, out.mutual_info, out.classical, out.discord, dfe
+
+
 def scan_trajectory(
     config: SystemConfig,
     t_max: float,
@@ -106,24 +134,22 @@ def scan_trajectory(
     classical_method: ClassicalMethod = ClassicalMethod.CLOSED,
     gamma_method: GammaMethod = GammaMethod.CLOSED_FORM,
 ) -> list[DiscordPoint]:
-    """Correlation dynamics on a uniform grid over [0, t_max].
+    """Correlation dynamics on a uniform grid over [0, t_max], one DiscordPoint
+    per time, computed as columns over the grid.
 
     The regime flag compares D_A*D_B against |c3| (DFE while the product is
     the larger, never for c3 = 0, where no frozen window exists).
     """
-    t_max = float(t_max)
-    if not t_max > 0.0 or not math.isfinite(t_max):
-        raise DomainError(f"t_max must be > 0, got {t_max!r}")
-    if int(n_points) != n_points or n_points < 2:
-        raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
-    mod_c3 = abs(config.state.c3)
-    points = []
-    for t in np.linspace(0.0, t_max, int(n_points)):
-        t = float(t)
-        d_a, d_b = _decohering_factors(config, t, gamma_method)
-        out = discord(_assemble(config, t, d_a, d_b), classical_method)
-        regime = Regime.DFE if mod_c3 > 0.0 and d_a * d_b >= mod_c3 else Regime.DECAY
-        points.append(
-            DiscordPoint(t, d_a, d_b, out.mutual_info, out.classical, out.discord, regime)
-        )
-    return points
+    t = _time_grid(t_max, n_points)
+    columns = _trajectory_columns(
+        config,
+        t,
+        _decohering_factor(config.bath_a, t, gamma_method),
+        _decohering_factor(config.bath_b, t, gamma_method),
+        classical_method,
+    )
+    *values, dfe = (column.tolist() for column in columns)
+    return [
+        DiscordPoint(*row, Regime.DFE if flag else Regime.DECAY)
+        for *row, flag in zip(*values, dfe)
+    ]

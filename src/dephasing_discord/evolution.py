@@ -7,28 +7,37 @@ time stepping is involved.
 """
 from __future__ import annotations
 
-from .bath import GammaMethod, gamma_closed, gamma_quadrature
+from functools import reduce
+
+import numpy as np
+
+from .bath import GammaMethod, _times, gamma_closed, gamma_quadrature
 from .core import (
     EIGENVALUE_TOL,
-    DomainError,
     NonPhysicalState,
     SystemConfig,
     XDensityMatrix,
+    _at,
+    _max,
+    _min,
+    _plain,
+    _reject,
 )
 
 
-def _decohering_factors(
-    config: SystemConfig, t: float, method: GammaMethod
-) -> tuple[float, float]:
-    if method is GammaMethod.QUADRATURE:
-        return (
-            gamma_quadrature(config.bath_a, t).d,
-            gamma_quadrature(config.bath_b, t).d,
-        )
-    return gamma_closed(config.bath_a, t).d, gamma_closed(config.bath_b, t).d
+def _decohering_factor(reservoir, t, method: GammaMethod):
+    """D(t) of one reservoir by the chosen route, for a float or a 1-D array t.
+
+    The quadrature route integrates each time on its own.
+    """
+    if method is not GammaMethod.QUADRATURE:
+        return gamma_closed(reservoir, t).d
+    if isinstance(t, np.ndarray):
+        return np.array([gamma_quadrature(reservoir, s).d for s in t.tolist()])
+    return gamma_quadrature(reservoir, t).d
 
 
-def _assemble(config: SystemConfig, t: float, d_a: float, d_b: float) -> XDensityMatrix:
+def _assemble(config: SystemConfig, t, d_a, d_b) -> XDensityMatrix:
     state = config.state
     product = d_a * d_b
     return XDensityMatrix(
@@ -37,22 +46,26 @@ def _assemble(config: SystemConfig, t: float, d_a: float, d_b: float) -> XDensit
 
 
 def evolve(
-    config: SystemConfig, t: float, method: GammaMethod = GammaMethod.CLOSED_FORM
+    config: SystemConfig, t, method: GammaMethod = GammaMethod.CLOSED_FORM
 ) -> XDensityMatrix:
-    """State at time t: both coherences scaled by D_A*D_B."""
-    t = float(t)
-    if not t >= 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    d_a, d_b = _decohering_factors(config, t, method)
-    return _assemble(config, t, d_a, d_b)
+    """State at time t, or the column of states over a 1-D array of times:
+    both coherences scaled by D_A*D_B."""
+    t = _times(t)
+    return _assemble(
+        config,
+        t,
+        _decohering_factor(config.bath_a, t, method),
+        _decohering_factor(config.bath_b, t, method),
+    )
 
 
-def eigenvalues(rho: XDensityMatrix) -> tuple[float, float, float, float]:
+def eigenvalues(rho: XDensityMatrix) -> tuple:
     """Spectrum of the X state, clamped to [0, 1].
 
     The two antidiagonal blocks diagonalize independently:
     (1 + c3 -/+ |alpha|)/4 and (1 - c3 -/+ |gamma|)/4.  A value below
     -EIGENVALUE_TOL raises NonPhysicalState instead of being clamped.
+    Floats for one state, arrays for a column.
     """
     mod_alpha = abs(rho.alpha)
     mod_gamma = abs(rho.gamma)
@@ -62,7 +75,7 @@ def eigenvalues(rho: XDensityMatrix) -> tuple[float, float, float, float]:
         (1.0 - rho.c3 - mod_gamma) / 4.0,
         (1.0 - rho.c3 + mod_gamma) / 4.0,
     )
-    worst = min(raw)
-    if worst < -EIGENVALUE_TOL:
-        raise NonPhysicalState(f"eigenvalue {worst!r} below -{EIGENVALUE_TOL}")
-    return tuple(min(max(lam, 0.0), 1.0) for lam in raw)
+    worst = reduce(_min, raw)
+    _reject(worst < -EIGENVALUE_TOL, NonPhysicalState, rho.t,
+            lambda i: f"eigenvalue {_at(worst, i)!r} below -{EIGENVALUE_TOL}")
+    return tuple(_plain(_min(_max(lam, 0.0), 1.0)) for lam in raw)

@@ -106,3 +106,44 @@ def element_decay(rho0_elem, l_a, l_b, j_a, j_b, config, t):
         value *= math.exp(-gamma_closed(config.bath_b, t).gamma)
     return value
 
+
+def _tail_third_derivative(u, xsq):
+    # d^3/du^3 of ln(1 + xsq/u^2); negative for all u > 0.
+    usq = u * u
+    return -4.0 * xsq * (6.0 * usq * usq + 3.0 * usq * xsq + xsq * xsq) / (
+        u**3 * (usq + xsq) ** 3
+    )
+
+
+def thermal_series_per_point(xsq, b, target=1e-13, cap=10**7):
+    """The thermal series of one point, summed on its own: the oracle for the
+    vectorized kernel in bath.  Returns (series, truncation bound)."""
+    if xsq == 0.0:
+        return 0.0, 0.0
+    n_terms = 32
+    while True:
+        u_mid = 1.0 + b * (n_terms + 0.5)
+        bound = (7.0 / 5760.0) * b**3 * abs(_tail_third_derivative(u_mid, xsq))
+        if bound <= target or n_terms >= cap:
+            break
+        n_terms *= 2
+    n = np.arange(1, n_terms + 1, dtype=float)
+    partial = float(np.sum(np.log1p(xsq / (1.0 + b * n) ** 2)))
+    x = math.sqrt(xsq)
+    integral = (2.0 * x * math.atan(x / u_mid) - u_mid * math.log1p(xsq / (u_mid * u_mid))) / b
+    correction = (b / 24.0) * (-2.0 * xsq / (u_mid * (u_mid * u_mid + xsq)))
+    return partial + integral + correction, bound
+
+
+def gamma_per_point(reservoir, t):
+    """(Gamma, D, est_error) of one time, computed point by point."""
+    x = reservoir.omega_c * float(t)
+    gamma = 0.5 * math.log1p(x * x)
+    err = 0.0
+    if not math.isinf(reservoir.beta):
+        series, bound = thermal_series_per_point(x * x, reservoir.beta * reservoir.omega_c)
+        gamma += series
+        err = reservoir.eta * bound
+    gamma *= reservoir.eta
+    return gamma, math.exp(-gamma), err
+

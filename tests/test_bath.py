@@ -17,7 +17,7 @@ from dephasing_discord import (
     gamma_quadrature,
 )
 
-from conftest import reservoirs
+from conftest import gamma_per_point, reservoirs
 
 # Reference for Reservoir(0.2, 1.0, 5.0) at t = 1, from a 50-digit partial
 # sum of the thermal series (10^7 terms plus integral tail).
@@ -72,6 +72,42 @@ def test_thermal_series_matches_loggamma_identity(t, omega_c, beta):
     assert abs(series_pkg - series_ref) <= 1e-10 + 1e-10 * abs(series_ref)
 
 
+@st.composite
+def gamma_grids(draw):
+    """A reservoir and a time grid starting at t = 0: mostly beta = inf or
+    log-uniform on [0.05, 100] with up to 40 times, sometimes a hot bath
+    (beta in [0.01, 0.05], many series terms) with a short grid."""
+    eta = draw(st.floats(0.05, 1.0))
+    omega_c = draw(st.floats(0.5, 3.0))
+    hot = draw(st.integers(0, 7)) == 0
+    if hot:
+        beta = draw(st.floats(0.01, 0.05))
+    elif draw(st.booleans()):
+        beta = math.inf
+    else:
+        beta = math.exp(draw(st.floats(math.log(0.05), math.log(100.0))))
+    times = draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=3 if hot else 40))
+    return Reservoir(eta, omega_c, beta), np.array([0.0, *times])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@given(gamma_grids())
+@settings(max_examples=200, deadline=None)
+def test_gamma_kernel_is_bitwise_the_per_point_series(grid):
+    # the times of one grid need different term counts; each must still
+    # get exactly the value of its own one-point sum
+    reservoir, t = grid
+    expected = np.array([gamma_per_point(reservoir, s) for s in t.tolist()])
+    out = gamma_closed(reservoir, t)
+    assert (bits(np.stack([out.gamma, out.d, out.est_error], axis=1)) == bits(expected)).all()
+    floats = [gamma_closed(reservoir, s) for s in t.tolist()]
+    assert all(isinstance(e.gamma, float) and isinstance(e.d, float) for e in floats)
+    assert (bits([(e.gamma, e.d, e.est_error) for e in floats]) == bits(expected)).all()
+
+
 @given(reservoirs(), st.floats(0.0, 25.0, allow_nan=False), st.floats(1e-4, 5.0, allow_nan=False))
 @settings(max_examples=150, deadline=None)
 def test_gamma_is_nonnegative_and_nondecreasing_in_time(reservoir, t, dt):
@@ -121,6 +157,10 @@ def test_d_is_exponential_of_gamma(reservoir, t):
 def test_gamma_rejects_negative_time():
     with pytest.raises(DomainError):
         gamma_closed(Reservoir(0.2, 1.0, 5.0), -0.5)
+    with pytest.raises(DomainError, match="-0.5"):
+        gamma_closed(Reservoir(0.2, 1.0, 5.0), np.array([0.0, 1.0, -0.5]))
+    with pytest.raises(DomainError):
+        gamma_closed(Reservoir(0.2, 1.0, 5.0), np.array([0.0, math.nan]))
     with pytest.raises(DomainError):
         gamma_quadrature(Reservoir(0.2, 1.0, 5.0), -0.5)
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from dephasing_discord import evolution
 from dephasing_discord.cli import (
     RunSpec,
     _build_runspec,
@@ -229,6 +230,28 @@ def test_quadrature_method_agrees_with_closed_on_the_grid():
             assert float(a) == pytest.approx(float(b), abs=1e-9)
 
 
+def test_each_command_computes_each_reservoir_curve_once(monkeypatch, capsys):
+    curves = []
+    closed_form = evolution.gamma_closed
+
+    def counted(reservoir, t):
+        curves.append(reservoir)
+        return closed_form(reservoir, t)
+
+    monkeypatch.setattr(evolution, "gamma_closed", counted)
+    run_figure("fig2")  # 50 temperatures, equal baths
+    assert len(curves) == len(set(curves)) == 50
+    curves.clear()
+    run_figure("fig5")  # beta_a shared by the three kappas, 50 beta_b each for 0.2 and 5
+    assert len(curves) == len(set(curves)) == 150
+    curves.clear()
+    assert main(["figure", "fig3"]) == 0
+    assert len(curves) == 3
+    assert main(["figure", "fig3"]) == 0  # no cache outlives a command
+    assert len(curves) == 6
+    capsys.readouterr()
+
+
 def test_verify_report_passes_and_flags_injected_error(capsys):
     assert main(["verify"]) == 0
     report = capsys.readouterr().out
@@ -258,6 +281,24 @@ GOLDEN = {
         "91df3314cc4d0c988d4c2053011502c3f9ed39030d9b0609667800526d4cc120",
     ("curve", "--method", "bruteforce", "--points", "6", "--t-max", "20"):
         "d29f2d9ecc83fc734044ca2c3d631d09090da4767d39f5f996a6747a27bf90d4",
+    ("figure", "fig2"):
+        "8f22fe172143a68f6f158f11b45648230f5e9e8bcd2bb45495091b4337c3147d",
+    ("figure", "fig5"):
+        "83b30773d9697f779a72f045e77b1c8d62c639cbaaffe3532323060e3e913335",
+    # 10 x 300 surfaces with parameters drawn from a seed and rounded: equal
+    # baths, one bath swept while the other stays fixed, and a kappa sweep
+    ("surface", "--c2", "0.3", "--c3", "-0.3", "--eta-a", "0.35", "--eta-b", "0.35",
+     "--sweep-param", "beta", "--sweep-start", "2.5", "--sweep-stop", "12.5",
+     "--sweep-count", "10", "--points", "300"):
+        "c1c687869d64e9cb1e0e1fde8af56f6d995516f79ee300836a1a7fa7470435ed",
+    ("surface", "--c2", "0.55", "--c3", "-0.55", "--eta-a", "0.6", "--eta-b", "0.25",
+     "--beta-a", "3", "--beta-b", "8", "--sweep-param", "eta_b", "--sweep-start", "0.1",
+     "--sweep-stop", "0.55", "--sweep-count", "10", "--points", "300"):
+        "8141bf3458226a8a45ea89108195852ad117f5decccf6b467312d082b62c31f5",
+    ("surface", "--c2", "0.45", "--c3", "-0.45", "--eta-a", "0.4", "--eta-b", "0.7",
+     "--beta-a", "7.5", "--sweep-param", "kappa", "--sweep-start", "0.2",
+     "--sweep-stop", "5", "--sweep-count", "10", "--points", "300"):
+        "a2dc2c0e7389d935fae8392b17d15984d1b4751e8d484f0021be90c364b91e8e",
 }
 
 

@@ -151,9 +151,12 @@ def test_bruteforce_matches_closed_classical(config, t):
 def _dense_grid_classical(matrix, phi_offset=0.0):
     """max of S(A) - sum_k p_k S(A|k) over projective measurements on B along
     the Bloch directions (2*theta, phi + phi_offset) of the library's
-    91 x 181 (theta, phi) grid, computed from the 4x4 matrix alone."""
+    91 x (181 + 3 quarter turns) (theta, phi) grid, computed from the 4x4
+    matrix alone."""
     theta = np.linspace(0.0, 0.5 * math.pi, 91)[:, None]
-    phi = np.linspace(0.0, 2.0 * math.pi, 181, endpoint=False)[None, :] + phi_offset
+    phi = np.union1d(
+        np.linspace(0.0, 2.0 * math.pi, 181, endpoint=False), [0.5 * math.pi, math.pi, 1.5 * math.pi]
+    )[None, :] + phi_offset
     n = np.stack(np.broadcast_arrays(
         np.sin(2 * theta) * np.cos(phi), np.sin(2 * theta) * np.sin(phi),
         np.cos(2 * theta) + 0 * phi), axis=-1).reshape(-1, 3)
@@ -231,8 +234,10 @@ def test_plateau_and_decay_formulas():
     assert discord_decay(0.4) == pytest.approx(PLATEAU_04, abs=1e-16)
     with pytest.raises(DomainError):
         discord_plateau(1.5)
+    # a product of 0 is the fully dephased pair that underflowing rows reach
+    assert discord_decay(0.0) == 0.0
     with pytest.raises(DomainError):
-        discord_decay(0.0)
+        discord_decay(-1e-300)
     with pytest.raises(DomainError):
         discord_decay(1.5)
 

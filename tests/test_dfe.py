@@ -1,26 +1,36 @@
 """Crossing-time solver and full trajectory scans."""
 import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dephasing_discord import (
+    ConsistencyError,
     CriticalTimeMethod,
+    DiscordPoint,
     DomainError,
+    NonPhysicalState,
     NoRootInRange,
     QubitPair,
     Regime,
     Reservoir,
     SystemConfig,
+    XDensityMatrix,
     XStateParams,
     critical_time_closed,
     critical_time_solve,
+    discord,
     discord_plateau,
     gamma_closed,
     scan_trajectory,
 )
+from dephasing_discord import correlations, dfe
+
+from conftest import gamma_per_point, system_configs
 
 T_P_REFERENCE = 9.831391051117842  # sqrt(0.4**-5 - 1)
 
@@ -160,3 +170,65 @@ def test_scan_trajectory_validates_grid():
         scan_trajectory(config, 10.0, 1)
     with pytest.raises(DomainError):
         scan_trajectory(config, 10.0, 2.5)
+
+
+@given(system_configs(), st.floats(0.5, 40.0), st.integers(2, 60))
+@settings(max_examples=60, deadline=None)
+def test_scan_trajectory_columns_equal_the_point_by_point_chain(config, t_max, n):
+    # reference: every point on its own, with the per-point series for Gamma
+    # and the float forms of the state and correlation functions
+    mod_c3 = abs(config.state.c3)
+    expected = []
+    for t in np.linspace(0.0, t_max, n).tolist():
+        d_a = gamma_per_point(config.bath_a, t)[1]
+        d_b = gamma_per_point(config.bath_b, t)[1]
+        product = d_a * d_b
+        c = config.state
+        out = discord(XDensityMatrix(c.c3, (c.c1 - c.c2) * product, (c.c1 + c.c2) * product, t))
+        regime = Regime.DFE if mod_c3 > 0.0 and product >= mod_c3 else Regime.DECAY
+        expected.append(
+            DiscordPoint(t, d_a, d_b, out.mutual_info, out.classical, out.discord, regime)
+        )
+    assert scan_trajectory(config, t_max, n) == expected
+
+
+def _inject(monkeypatch, module, name, spoil):
+    """Replace module.name by a function that spoils element 7 of its result."""
+    real = getattr(module, name)
+
+    def spoiled(*args):
+        return spoil(real(*args), 7)
+
+    monkeypatch.setattr(module, name, spoiled)
+
+
+def _set(column, i, value):
+    column = column.copy()
+    column[i] = value
+    return column
+
+
+@pytest.mark.parametrize(
+    "module, name, spoil, error",
+    [
+        # D > 1 makes |alpha| exceed 1 + c3
+        (dfe, "_decohering_factor", lambda d, i: _set(d, i, 1.5), NonPhysicalState),
+        (dfe, "_decohering_factor", lambda d, i: _set(d, i, -0.5), DomainError),
+        (dfe, "_decohering_factor", lambda d, i: _set(d, i, math.nan), DomainError),
+        # mutual information below the classical correlation
+        (correlations, "mutual_information", lambda v, i: _set(v, i, v[i] - 1.0),
+         ConsistencyError),
+        # I = C + D broken by more than 1e-10
+        (dfe, "discord",
+         lambda out, i: replace(out, discord=_set(out.discord, i, out.discord[i] + 1e-8)),
+         ConsistencyError),
+    ],
+    ids=["d-above-1", "d-negative", "d-nan", "information-deficit", "additivity-gap"],
+)
+def test_scan_trajectory_rejects_a_bad_column_naming_its_time(
+    monkeypatch, module, name, spoil, error
+):
+    _inject(monkeypatch, module, name, spoil)
+    t_bad = np.linspace(0.0, 30.0, 31).tolist()[7]
+    with pytest.raises(error, match=re.escape(f"at t = {t_bad!r}") + "$"):
+        scan_trajectory(equal_bath_config(beta=5.0), 30.0, 31)

@@ -152,3 +152,17 @@ def test_double_coherence_decay_equals_evolve_ratio():
     ratio = abs(rho.alpha) / abs(rho0.alpha)
     decayed = element_decay(1.0, "g", "g", "e", "e", config, t)
     assert abs(decayed) == pytest.approx(ratio, rel=1e-12)
+
+
+@given(system_configs(), st.lists(times, min_size=1, max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_evolve_over_a_time_array_is_the_column_of_single_states(config, ts):
+    column = evolve(config, np.array(ts))
+    singles = [evolve(config, t) for t in ts]
+    assert column.c3 == config.state.c3
+    for name in ("alpha", "gamma", "t"):
+        assert getattr(column, name).tolist() == [getattr(s, name) for s in singles]
+    spectra = eigenvalues(column)
+    assert [list(lams) for lams in zip(*(s.tolist() for s in spectra))] == [
+        list(eigenvalues(s)) for s in singles
+    ]
