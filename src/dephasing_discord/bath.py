@@ -10,6 +10,10 @@ J(w) = eta * w * exp(-w/omega_c) at inverse temperature beta is
 and the decohering factor is D(t) = exp(-Gamma(t)).  gamma_closed evaluates
 the series, gamma_quadrature the integral; they agree to well below 1e-6
 relative and serve as mutual oracles.  At beta = inf the sum is absent.
+
+Only gamma_quadrature needs scipy, and it imports it when it first
+integrates, so the closed-form route (and everything the CLI runs without
+--method quadrature or verify) loads numpy alone.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import integrate
 
 from .core import DomainError, QuadratureFailure, Reservoir, _elementwise, _reject
 
@@ -35,6 +38,14 @@ _CHUNK_ELEMENTS = 2**15
 # The quadrature route must certify at least this absolute accuracy.
 QUAD_ERROR_LIMIT = 1e-9
 _QUAD_PANEL_EPSABS = 2e-13
+# The direct series forms x^2, u^2 and their cubes (x = omega_c*t, b =
+# beta*omega_c, u = 1 + b*(N + 1/2); the tail bound is below 0.0061/N^3, so
+# N <= 2^16).  Up to these limits the largest, u^3 * (u^2 + x^2)^3, stays
+# below 1e255; past them pow(u^2 + x^2, 3) overflows from u^2 + x^2 = 5.6e102
+# and x^2 itself from x = 1.3e154, so such a point takes _wide_series, which
+# forms ratios only.
+_WIDE_X = 1e30
+_WIDE_B = 1e20
 
 
 class GammaMethod(Enum):
@@ -99,10 +110,10 @@ def _with_tail(partial_sum, xsq, u, b: float, libm):
     return partial_sum + integral + correction
 
 
-def _thermal_series(xsq, b: float):
-    """sum_{n>=1} ln(1 + xsq/(1+b*n)^2) with a certified truncation bound.
+def _thermal_series(x, b: float):
+    """sum_{n>=1} ln(1 + x^2/(1+b*n)^2) with a certified truncation bound.
 
-    xsq is a float or a 1-D array.  Per point, the first N terms are summed
+    x is a float or a 1-D array.  Per point, the first N terms are summed
     explicitly; the remainder is replaced by the midpoint Euler-Maclaurin
     expansion (integral plus first derivative correction), whose error is
     bounded by the magnitude of the next term of the expansion.  N is doubled
@@ -111,11 +122,15 @@ def _thermal_series(xsq, b: float):
     The points that stop at the same N share one row of denominators, and
     each point's N terms stay one contiguous row of the (pairwise) sum, so
     every value equals the one-point sum.  Chunks split the points, never a
-    row, and hold at most max(N, _CHUNK_ELEMENTS) terms.
+    row, and hold at most max(N, _CHUNK_ELEMENTS) terms.  A point past
+    _WIDE_X or _WIDE_B is summed by _wide_series instead.
     """
     # One time, as in each step of the crossing solver's bisection: the same
     # rule in plain floats, where numpy's per-call cost would dominate.
-    if not isinstance(xsq, np.ndarray):
+    if not isinstance(x, np.ndarray):
+        if x > _WIDE_X or b > _WIDE_B:
+            return _wide_series(x, b)
+        xsq = x * x
         if xsq == 0.0:
             return 0.0, 0.0
         n_terms = 32
@@ -127,10 +142,16 @@ def _thermal_series(xsq, b: float):
             n_terms *= 2
         partial = float(np.add.reduce(np.log1p(xsq / _denominators(n_terms, b))))
         return _with_tail(partial, xsq, u_mid, b, _FLOAT_LIBM), bound
+    wide = (x > _WIDE_X) | (b > _WIDE_B)
+    narrow = np.where(wide, 0.0, x)
+    xsq = narrow * narrow
     series = np.zeros_like(xsq)
     bound = np.zeros_like(xsq)
     u_mid = np.ones_like(xsq)
-    pending = np.flatnonzero(xsq)
+    for i in np.flatnonzero(wide).tolist():
+        series[i], bound[i] = _wide_series(float(x[i]), b)
+    summed = xsq != 0.0
+    pending = np.flatnonzero(summed)
     n_terms = 32
     while pending.size:
         u = 1.0 + b * (n_terms + 0.5)
@@ -149,11 +170,47 @@ def _thermal_series(xsq, b: float):
             series[chunk] = np.add.reduce(np.log1p(terms, out=terms), axis=1)
         pending = pending[~done]
         n_terms *= 2
-    summed = xsq != 0.0
     series[summed] = _with_tail(
         series[summed], xsq[summed], u_mid[summed], b, _ARRAY_LIBM
     )
     return series, bound
+
+
+def _log1p_square(r):
+    """ln(1 + r^2) of ratios r >= 0, never squaring one above 1:
+    2 ln r + ln(1 + 1/r^2) for r > 1."""
+    big = np.maximum(r, 1.0)
+    return 2.0 * np.log(big) + np.log1p(np.square(np.minimum(r, 1.0 / big)))
+
+
+def _wide_series(x: float, b: float) -> tuple[float, float]:
+    """_thermal_series of one point past _WIDE_X or _WIDE_B, from ratios only.
+
+    The same doubling rule, explicit terms and midpoint Euler-Maclaurin tail,
+    with v = u/b, x/(1+b*n), x/u and r = x^2/(u^2 + x^2) in place of the
+    squares, so no intermediate overflows for any finite x and b.  It agrees
+    with the direct form to rounding, not bit for bit.
+    """
+    if x == 0.0 or x == math.inf:
+        return x, 0.0
+    n_terms = 32
+    while True:
+        v = 1.0 / b + (n_terms + 0.5)
+        u = b * v
+        w = u / x
+        r = 1.0 / (1.0 + w * w)
+        q = 1.0 - r
+        # (7/5760) b^3 |d^3/du^3 ln(1 + x^2/u^2)|, as in _tail_bound
+        bound = (7.0 / 5760.0) * 4.0 * r * (6.0 * q * q + 3.0 * q * r + r * r) / v**3
+        if bound <= SERIES_TAIL_TARGET or n_terms >= SERIES_TERM_CAP:
+            break
+        n_terms *= 2
+    n = np.arange(1, n_terms + 1, dtype=float)
+    with np.errstate(over="ignore"):  # 1 + b*n = inf: a term of 0
+        partial = float(np.add.reduce(_log1p_square(x / (1.0 + b * n))))
+    integral = (x / b) * (2.0 * math.atan(x / u)) - v * float(_log1p_square(x / u))
+    correction = -r / (12.0 * v)
+    return partial + integral + correction, bound
 
 
 def _times(t):
@@ -184,14 +241,21 @@ def gamma_closed(reservoir: Reservoir, t) -> DecoherenceEval:
         t = float(t)
         if not t >= 0.0:
             raise DomainError(f"t must be >= 0, got {t!r}")
-        log1p, exp, err = math.log1p, math.exp, 0.0
+        x = reservoir.omega_c * t
+        xsq = x * x
+        # ln x once x^2 overflows; the two then differ by less than 1e-308
+        gamma = 0.5 * math.log1p(xsq) if xsq != math.inf else math.log(x)
+        exp, err = math.exp, 0.0
     else:
         t = _times(t)
-        log1p, exp, err = _ARRAY_LIBM.log1p, _ARRAY_LIBM.exp, np.zeros_like(t)
-    x = reservoir.omega_c * t
-    gamma = 0.5 * log1p(x * x)
+        x = reservoir.omega_c * t
+        with np.errstate(over="ignore"):
+            gamma = 0.5 * _ARRAY_LIBM.log1p(x * x)
+        overflowed = gamma == math.inf
+        gamma[overflowed] = _elementwise(math.log, x[overflowed])
+        exp, err = _ARRAY_LIBM.exp, np.zeros_like(t)
     if not math.isinf(reservoir.beta):
-        series, bound = _thermal_series(x * x, reservoir.beta * reservoir.omega_c)
+        series, bound = _thermal_series(x, reservoir.beta * reservoir.omega_c)
         gamma = gamma + series
         err = reservoir.eta * bound
     gamma = gamma * reservoir.eta
@@ -214,6 +278,8 @@ def gamma_quadrature(
         raise DomainError(f"t must be >= 0, got {t!r}")
     if t == 0.0:
         return DecoherenceEval(0.0, 1.0, GammaMethod.QUADRATURE, 0.0)
+    from scipy import integrate  # the one scipy use: kept off the closed-form import path
+
     eta, omega_c, beta = reservoir.eta, reservoir.omega_c, reservoir.beta
     cold = math.isinf(beta)
     cutoff = omega_c * (35.0 + omega_c * t)

@@ -3,11 +3,13 @@ times, preset figure datasets, and a cross-path verification report.
 
 Output is CSV with 17-significant-digit values and LF line endings, written
 to stdout unless --out is given.  Exit codes: 0 success, 1 verification
-breach, 2 invalid configuration, 3 numerical failure.
+breach, 2 invalid configuration, 3 numerical failure: any error raised after
+the configuration has been validated.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -206,8 +208,8 @@ def _build_runspec(args: argparse.Namespace) -> RunSpec:
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points}")
     t_max = float(settings["t_max"])
-    if not t_max > 0.0:
-        raise DomainError(f"t_max must be > 0, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max must be > 0 and finite, got {t_max}")
     return RunSpec(
         config=_build_config(settings),
         t_max=t_max,
@@ -449,7 +451,10 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="dephasing-discord",
         description="Exact dephasing dynamics and quantum discord for two qubits "
@@ -498,23 +503,30 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        if args.command in ("curve", "surface"):
-            _emit(run_sweep(_build_runspec(args)), args.out)
-        elif args.command == "critical-time":
-            _emit(run_critical_time(_build_runspec(args)), args.out)
-        elif args.command == "figure":
-            _emit(run_figure(args.figure), args.out)
-        elif args.command == "verify":
-            text, code = run_verify(args.debug_prefactor_8)
-            _emit(text, args.out)
-            return code
+        spec = None if args.command in ("figure", "verify") else _build_runspec(args)
     except (DomainError, NonPhysicalState, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureFailure, NoRootInRange, ConsistencyError) as exc:
+    code = 0
+    try:
+        if args.command == "critical-time":
+            text = run_critical_time(spec)
+        elif spec is not None:
+            text = run_sweep(spec)
+        elif args.command == "figure":
+            text = run_figure(args.figure)
+        else:
+            text, code = run_verify(args.debug_prefactor_8)
+        _emit(text, args.out)
+    except FileNotFoundError as exc:  # --out in a missing directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # The configuration is valid by now: what fails is the computation.
+    except (DomainError, NonPhysicalState, QuadratureFailure, NoRootInRange,
+            ConsistencyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Transition between frozen and decaying discord.
 
-For initial states with c1 = 1 and c2 = -c3 the discord stays constant until
-the decohering product D_A(t)*D_B(t) falls to |c3| and decays afterwards.
-This module locates that crossing and scans full trajectories.
+The optimal measurement of a Bell-diagonal state stays on the coherence
+branch while m*D_A(t)*D_B(t) >= |c3|, with m = max(|c1|, |c2|) (the branch
+value (|alpha| + |gamma|)/2 of correlations.classical_closed), and switches
+to the c3 branch after.  For initial states with c1 = 1 and c2 = -c3 (m = 1)
+the discord stays constant on the coherence branch, the DFE regime, and
+decays afterwards.  This module locates that switch and scans full
+trajectories.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ class CriticalTimeMethod(Enum):
 
 @dataclass(frozen=True)
 class CriticalTime:
-    """Crossing time of D_A*D_B through |c3|, with solver diagnostics."""
+    """Crossing time of m*D_A*D_B through |c3|, with solver diagnostics."""
 
     t_p: float
     method: CriticalTimeMethod
@@ -56,23 +60,28 @@ def critical_time_closed(eta: float, c3: float, omega_c: float) -> float:
     return math.sqrt(abs(c3) ** (-1.0 / eta) - 1.0) / omega_c
 
 
+def _branch_weight(config: SystemConfig) -> float:
+    """m = max(|c1|, |c2|): the coherence branch of the optimum is m*D_A*D_B."""
+    return max(abs(config.state.c1), abs(config.state.c2))
+
+
 def critical_time_solve(config: SystemConfig) -> CriticalTime | None:
-    """Bracket and bisect D_A(t)*D_B(t) = |c3|.
+    """Bracket and bisect m*D_A(t)*D_B(t) = |c3|, m = max(|c1|, |c2|): the
+    time the optimal measurement switches from the coherence branch to the
+    c3 branch.
 
     Returns None when no frozen window exists at all: either c3 = 0 (the
     optimum never leaves the coherence branch) or the initial coherences are
-    already too weak, (|c1-c2| + |c1+c2|)/2 <= |c3|.
+    already too weak, m <= |c3|.
     """
-    state = config.state
-    mod_c3 = abs(state.c3)
-    if mod_c3 == 0.0:
-        return None
-    if 0.5 * (abs(state.c1 - state.c2) + abs(state.c1 + state.c2)) <= mod_c3:
+    mod_c3 = abs(config.state.c3)
+    weight = _branch_weight(config)
+    if mod_c3 == 0.0 or weight <= mod_c3:
         return None
 
     def gap(t: float) -> float:
         return (
-            gamma_closed(config.bath_a, t).d * gamma_closed(config.bath_b, t).d
+            weight * gamma_closed(config.bath_a, t).d * gamma_closed(config.bath_b, t).d
             - mod_c3
         )
 
@@ -85,7 +94,7 @@ def critical_time_solve(config: SystemConfig) -> CriticalTime | None:
         t_hi *= 2.0
         if t_hi > cap:
             raise NoRootInRange(
-                f"decohering product stayed above |c3| = {mod_c3} up to t = {cap}"
+                f"m*D_A*D_B stayed above |c3| = {mod_c3} up to t = {cap}"
             )
     width = _BRACKET_WIDTH / omega_ref
     while t_hi - t_lo > width:
@@ -123,7 +132,7 @@ def _trajectory_columns(
     out = discord(_assemble(config, t, d_a, d_b), classical_method)
     _check_samples(t, d_a, d_b, out.mutual_info, out.classical, out.discord)
     mod_c3 = abs(config.state.c3)
-    dfe = (d_a * d_b >= mod_c3) & (mod_c3 > 0.0)
+    dfe = (_branch_weight(config) * d_a * d_b >= mod_c3) & (mod_c3 > 0.0)
     return t, d_a, d_b, out.mutual_info, out.classical, out.discord, dfe
 
 
@@ -137,8 +146,9 @@ def scan_trajectory(
     """Correlation dynamics on a uniform grid over [0, t_max], one DiscordPoint
     per time, computed as columns over the grid.
 
-    The regime flag compares D_A*D_B against |c3| (DFE while the product is
-    the larger, never for c3 = 0, where no frozen window exists).
+    The regime flag compares m*D_A*D_B, m = max(|c1|, |c2|), against |c3|:
+    DFE while the optimum stays on the coherence branch (the product is the
+    larger), never for c3 = 0, where no frozen window exists.
     """
     t = _time_grid(t_max, n_points)
     columns = _trajectory_columns(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
+from dephasing_discord import bath
 from dephasing_discord import (
     DomainError,
     GammaMethod,
@@ -163,6 +164,47 @@ def test_gamma_rejects_negative_time():
         gamma_closed(Reservoir(0.2, 1.0, 5.0), np.array([0.0, math.nan]))
     with pytest.raises(DomainError):
         gamma_quadrature(Reservoir(0.2, 1.0, 5.0), -0.5)
+
+
+@pytest.mark.parametrize("x", [1e31, 1e52, 1e100, 1e154, 1e200, 1e300])
+@pytest.mark.parametrize("b", [0.05, 5.0, 1e3, 1e25, 1e60])
+def test_thermal_series_past_the_float_range_of_its_squares(x, b):
+    # x^2 or u^2 past ~1e102 overflowed the direct form (OverflowError, or a
+    # nan from x^2 = inf); the ratio form keeps the log-gamma identity
+    series, bound = bath._thermal_series(x, b)
+    reference = thermal_series_oracle(x, b)
+    assert abs(series - reference) <= 1e-10 + 1e-12 * abs(reference)
+    assert 0.0 <= bound <= 1e-13
+
+
+@given(st.floats(1e-3, 1e4), st.floats(0.01, 200.0))
+@settings(max_examples=200, deadline=None)
+def test_wide_series_is_the_direct_series_to_rounding(x, b):
+    direct, direct_bound = bath._thermal_series(x, b)
+    wide, wide_bound = bath._wide_series(x, b)
+    assert wide == pytest.approx(direct, rel=1e-14, abs=1e-15)
+    assert wide_bound == pytest.approx(direct_bound, rel=1e-12, abs=1e-300)
+
+
+def test_extreme_times_and_temperatures_give_finite_factors():
+    eta = 0.6
+    t = np.array([0.0, 30.0, 1e52, 1e200, 1e308])
+    for beta in (5.0, 1e60, 1e308, math.inf):
+        reservoir = Reservoir(eta, 1.0, beta)
+        out = gamma_closed(reservoir, t)
+        assert np.all(out.gamma >= 0.0) and not np.isnan(out.gamma).any()
+        assert np.all(np.diff(out.gamma) >= 0.0)
+        floats = [gamma_closed(reservoir, s) for s in t.tolist()]
+        assert (bits([(e.gamma, e.d, e.est_error) for e in floats])
+                == bits(np.stack([out.gamma, out.d, out.est_error], axis=1))).all()
+    # T = 0 once x^2 overflows: D = (1 + x^2)^(-eta/2) = x^(-eta) to 1e-308
+    cold = gamma_closed(Reservoir(eta, 1.0, math.inf), 1e200)
+    assert cold.d == pytest.approx(1e-120, rel=1e-13)
+    # an ultra-cold bath is the T = 0 bath
+    assert gamma_closed(Reservoir(eta, 1.0, 1e60), 30.0).d == pytest.approx(
+        gamma_closed(Reservoir(eta, 1.0, math.inf), 30.0).d, rel=1e-13)
+    # a finite temperature dephases completely: Gamma ~ 2*eta*x/b
+    assert gamma_closed(Reservoir(eta, 1.0, 5.0), 1e52).d == 0.0
 
 
 def test_quadrature_matches_closed_form_on_seeded_draws():

@@ -1,10 +1,18 @@
 """Command-line behavior: schemas, precedence, exit codes, determinism."""
 import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dephasing_discord import evolution
+import dephasing_discord
+from dephasing_discord import cli, evolution
 from dephasing_discord.cli import (
     RunSpec,
     _build_runspec,
@@ -192,6 +200,33 @@ def test_underflowing_decoherence_factors_are_valid_rows(capsys):
         assert float(row[5]) <= 1e-12 and row[6] == "DECAY"
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--t-max", "1e52", "--points", "2"],
+    ["curve", "--t-max", "1e200", "--points", "2"],
+    ["curve", "--t-max", "1e200", "--points", "2", "--beta-a", "1e300"],
+])
+def test_extreme_times_emit_fully_dephased_rows(argv, capsys):
+    # an OverflowError in the series' tail bound (exit 1) and x^2 = inf
+    # (nan, exit 2) before; bath B (beta = 5) has Gamma ~ 2*eta*t/beta, so D_B = 0
+    assert main(argv) == 0
+    header, data = rows(capsys.readouterr().out)
+    last = data[-1]
+    assert float(last[0]) == float(argv[2])
+    assert float(last[2]) == 0.0 and last[6] == "DECAY"
+    assert float(last[5]) <= 1e-12
+
+
+def test_a_failure_after_validation_exits_3(monkeypatch, capsys):
+    # what the 1e200 curve used to hit: a nan factor from a valid configuration
+    monkeypatch.setattr(
+        cli, "_decohering_factor", lambda reservoir, t, method: np.full(t.shape, math.nan)
+    )
+    assert main(["curve", "--points", "3"]) == 3
+    assert "numerical failure: d_a must be finite" in capsys.readouterr().err
+    # an infinite grid end is still bad input
+    assert main(["curve", "--t-max", "inf"]) == 2
+
+
 def test_surface_sweep_prepends_parameter_column(capsys):
     argv = ["surface", "--sweep-param", "eta", "--sweep-start", "0.2",
             "--sweep-stop", "0.4", "--sweep-count", "2",
@@ -307,3 +342,51 @@ def test_output_bytes_match_golden_digest(argv, capsys):
     assert main(list(argv)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[argv]
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    assert _make_parser() is _make_parser()
+    order = list(GOLDEN) * 2
+    random.Random(20121105).shuffle(order)
+    for i, argv in enumerate(order):
+        # exit-2 calls in between leave the shared parser as it was
+        with pytest.raises(SystemExit) as exc:
+            main(["critical-time", "--t-max", "5"] if i % 2 else ["figure", "fig9"])
+        assert exc.value.code == 2
+        assert main(["curve", "--beta-b", "2", "--kappa", "3"]) == 2
+        capsys.readouterr()
+        assert main(list(argv)) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN[argv], argv
+
+
+def test_closed_form_commands_never_import_scipy():
+    # a fresh interpreter: this one has scipy loaded by the test oracles
+    script = textwrap.dedent("""
+        import contextlib, hashlib, io, sys
+        from dephasing_discord.cli import main
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(argv)) == 0, argv
+            return out.getvalue()
+
+        assert "scipy" not in sys.modules
+        run("curve")
+        run("surface", "--sweep-count", "3", "--points", "20")
+        run("critical-time")
+        run("figure", "fig3")
+        run("curve", "--method", "bruteforce", "--points", "3")
+        assert "scipy" not in sys.modules
+        run("curve", "--method", "quadrature", "--points", "3")
+        assert "scipy" in sys.modules
+        print(hashlib.sha256(run("verify").encode()).hexdigest())
+    """)
+    src = str(Path(dephasing_discord.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == GOLDEN[("verify",)]

@@ -21,16 +21,19 @@ from dephasing_discord import (
     SystemConfig,
     XDensityMatrix,
     XStateParams,
+    binary_entropy_like,
+    classical_closed,
     critical_time_closed,
     critical_time_solve,
     discord,
     discord_plateau,
+    evolve,
     gamma_closed,
     scan_trajectory,
 )
 from dephasing_discord import correlations, dfe
 
-from conftest import gamma_per_point, system_configs
+from conftest import gamma_per_point, system_configs, valid_states
 
 T_P_REFERENCE = 9.831391051117842  # sqrt(0.4**-5 - 1)
 
@@ -152,6 +155,62 @@ def test_scan_trajectory_discord_branches():
         assert 0.0 < p.d_a <= 1.0 and 0.0 < p.d_b <= 1.0
 
 
+def coherence_branch(config, t):
+    """(|alpha| + |gamma|)/2 of the evolved state: the optimum's coherence branch."""
+    rho = evolve(config, t)
+    return 0.5 * (np.abs(rho.alpha) + np.abs(rho.gamma))
+
+
+def test_switch_outside_the_special_family():
+    # c = (0.5, 0.2, -0.3): m = max(|c1|, |c2|) = 0.5, so the optimum leaves
+    # the coherence branch at D_A*D_B = 0.6 (t = 2.47), not at D_A*D_B = 0.3
+    # (t = 5.54, where C has long been pinned at f(|c3|))
+    config = replace(equal_bath_config(beta=5.0), state=XStateParams(0.5, 0.2, -0.3))
+    result = critical_time_solve(config)
+    assert 2.47 < result.t_p < 2.48
+    assert float(coherence_branch(config, result.t_p)) == pytest.approx(0.3, abs=1e-12)
+    pinned = binary_entropy_like(0.3)
+    for p in scan_trajectory(config, 6.0, 61):
+        assert (p.regime is Regime.DFE) == (p.t < result.t_p)
+        if p.regime is Regime.DECAY:
+            assert p.classical == pinned
+        else:
+            assert p.classical > pinned
+
+
+@given(system_configs(), st.floats(0.5, 40.0), st.integers(2, 60))
+@settings(max_examples=100, deadline=None)
+def test_regime_flag_reads_the_branch_of_the_classical_optimum(config, t_max, n):
+    # chi = max(|c3|, (|alpha| + |gamma|)/2): away from the switch the flag
+    # reads DFE exactly when chi > |c3| (and never for c3 = 0, no window)
+    mod_c3 = abs(config.state.c3)
+    points = scan_trajectory(config, t_max, n)
+    t = np.array([p.t for p in points])
+    _, chi = classical_closed(evolve(config, t))
+    for p, branch, value in zip(points, coherence_branch(config, t).tolist(), chi.tolist()):
+        if abs(branch - mod_c3) > 1e-12:
+            assert (p.regime is Regime.DFE) == (mod_c3 > 0.0 and value > mod_c3)
+
+
+@given(valid_states(), st.floats(0.05, 1.5), st.floats(0.05, 1.5),
+       st.sampled_from([0.5, 5.0, 50.0, math.inf]))
+@settings(max_examples=100, deadline=None)
+def test_critical_time_brackets_the_branch_switch(state, eta_a, eta_b, beta):
+    config = SystemConfig(QubitPair(0.0, 0.0), Reservoir(eta_a, 1.0, beta),
+                          Reservoir(eta_b, 1.0, beta), state)
+    mod_c3 = abs(state.c3)
+    has_window = mod_c3 > 0.0 and max(abs(state.c1), abs(state.c2)) > mod_c3
+    try:
+        result = critical_time_solve(config)
+    except NoRootInRange:
+        assume(False)
+    assert (result is not None) == has_window
+    if result is not None:
+        t_lo, t_hi = result.bracket
+        assert float(coherence_branch(config, t_lo)) >= mod_c3 - 1e-12
+        assert float(coherence_branch(config, t_hi)) <= mod_c3 + 1e-12
+
+
 def test_scan_trajectory_never_flags_dfe_without_c3():
     config = replace(equal_bath_config(), state=XStateParams(0.5, 0.5, 0.0))
     points = scan_trajectory(config, 10.0, 50)
@@ -178,6 +237,7 @@ def test_scan_trajectory_columns_equal_the_point_by_point_chain(config, t_max, n
     # reference: every point on its own, with the per-point series for Gamma
     # and the float forms of the state and correlation functions
     mod_c3 = abs(config.state.c3)
+    weight = max(abs(config.state.c1), abs(config.state.c2))
     expected = []
     for t in np.linspace(0.0, t_max, n).tolist():
         d_a = gamma_per_point(config.bath_a, t)[1]
@@ -185,7 +245,7 @@ def test_scan_trajectory_columns_equal_the_point_by_point_chain(config, t_max, n
         product = d_a * d_b
         c = config.state
         out = discord(XDensityMatrix(c.c3, (c.c1 - c.c2) * product, (c.c1 + c.c2) * product, t))
-        regime = Regime.DFE if mod_c3 > 0.0 and product >= mod_c3 else Regime.DECAY
+        regime = Regime.DFE if mod_c3 > 0.0 and weight * d_a * d_b >= mod_c3 else Regime.DECAY
         expected.append(
             DiscordPoint(t, d_a, d_b, out.mutual_info, out.classical, out.discord, regime)
         )
