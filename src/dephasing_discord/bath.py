@@ -38,6 +38,7 @@ _CHUNK_ELEMENTS = 2**15
 # The quadrature route must certify at least this absolute accuracy.
 QUAD_ERROR_LIMIT = 1e-9
 _QUAD_PANEL_EPSABS = 2e-13
+_QUAD_MAX_PANELS = 2**20  # t ~ 2,500 at omega_c = 1; the panel list grows as t^2
 # The direct series forms x^2, u^2 and their cubes (x = omega_c*t, b =
 # beta*omega_c, u = 1 + b*(N + 1/2); the tail bound is below 0.0061/N^3, so
 # N <= 2^16).  Up to these limits the largest, u^3 * (u^2 + x^2)^3, stays
@@ -278,11 +279,17 @@ def gamma_quadrature(
         raise DomainError(f"t must be >= 0, got {t!r}")
     if t == 0.0:
         return DecoherenceEval(0.0, 1.0, GammaMethod.QUADRATURE, 0.0)
+    eta, omega_c, beta = reservoir.eta, reservoir.omega_c, reservoir.beta
+    cutoff = omega_c * (35.0 + omega_c * t)
+    period = 2.0 * math.pi / t
+    panels = cutoff / period if period > 0.0 else math.inf  # t = inf
+    if not panels <= _QUAD_MAX_PANELS:
+        raise QuadratureFailure(
+            f"{panels:.3g} panels exceed the limit of {_QUAD_MAX_PANELS} for {reservoir} at t = {t}"
+        )
     from scipy import integrate  # the one scipy use: kept off the closed-form import path
 
-    eta, omega_c, beta = reservoir.eta, reservoir.omega_c, reservoir.beta
     cold = math.isinf(beta)
-    cutoff = omega_c * (35.0 + omega_c * t)
 
     def integrand(w: float) -> float:
         if w == 0.0:
@@ -293,8 +300,7 @@ def gamma_quadrature(
             value /= math.tanh(0.5 * beta * w)
         return value
 
-    period = 2.0 * math.pi / t
-    n_panels = max(1, math.ceil(cutoff / period))
+    n_panels = max(1, math.ceil(panels))
     edges = [min(cutoff, k * period) for k in range(n_panels)] + [cutoff]
     values = []
     est = 0.0

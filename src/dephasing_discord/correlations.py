@@ -30,11 +30,11 @@ from .evolution import eigenvalues
 
 _LN2 = math.log(2.0)
 _DOMAIN_SLACK = 1e-9
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MIN_THETA_POINTS = 91
 _MIN_PHI_POINTS = 181
 _QUARTER_TURNS = (0.5 * math.pi, math.pi, 1.5 * math.pi)
 _REFINE_TOL = 1e-10
+_SECTION_POINTS = 65
 
 
 class ClassicalMethod(Enum):
@@ -103,70 +103,60 @@ def mutual_information(rho: XDensityMatrix):
     return _plain(total)
 
 
-def _conditional_states(rho: XDensityMatrix, theta, phi) -> np.ndarray:
-    """Post-measurement states of qubit A for both outcomes k of a measurement on B.
-
-    theta and phi broadcast against each other; the result has shape
-    (2, *broadcast shape, 2, 2).  Both outcomes occur with probability 1/2
-    for this family, and outcome k gives
-
-        [[(1 - c3*cos(2*theta))/2,        (-1)^k * eps * sin(2*theta)/4],
-         [(-1)^k * conj(eps) * sin(2*theta)/4, (1 + c3*cos(2*theta))/2]]
-
-    with eps = alpha * exp(-i*phi) + gamma * exp(i*phi).
-    """
-    eps = rho.alpha * np.exp(-1j * phi) + rho.gamma * np.exp(1j * phi)
-    cos2t = np.cos(2.0 * theta)
-    sin2t = np.sin(2.0 * theta)
-    shape = np.broadcast_shapes(np.shape(eps), np.shape(sin2t))
-    states = np.empty((2, *shape, 2, 2), dtype=complex)
-    for k, sign in ((0, 1.0), (1, -1.0)):
-        off = 0.25 * sign * eps * sin2t
-        states[k, ..., 0, 0] = 0.5 * (1.0 - rho.c3 * cos2t)
-        states[k, ..., 1, 1] = 0.5 * (1.0 + rho.c3 * cos2t)
-        states[k, ..., 0, 1] = off
-        states[k, ..., 1, 0] = off.conjugate()
-    return states
-
-
 def classical_closed(rho: XDensityMatrix):
     """Closed-form classical correlation and the branch variable chi."""
     chi = _plain(_max(abs(rho.c3), 0.5 * (abs(rho.alpha) + abs(rho.gamma))))
     return binary_entropy_like(chi), chi
 
 
-def _entropies_bits(matrices: np.ndarray) -> np.ndarray:
-    lams = np.linalg.eigvalsh(matrices)
-    lams = np.clip(lams, 0.0, 1.0)
-    safe = np.where(lams > 0.0, lams, 1.0)
-    return -np.sum(lams * np.log2(safe), axis=-1)
+def _entropy_term(lam):
+    """-lam * log2(lam) of a spectrum entry clamped to [0, 1], 0*log(0) read as 0."""
+    lam = np.clip(lam, 0.0, 1.0)
+    return -lam * np.log2(np.where(lam > 0.0, lam, 1.0))
 
 
-def _measured_information(rho: XDensityMatrix, theta: float, phi: float) -> float:
-    return 1.0 - 0.5 * float(
-        np.sum(_entropies_bits(_conditional_states(rho, theta, phi % (2.0 * math.pi))))
-    )
+def _spectrum_2x2(a, d, b_sq):
+    """Eigenvalues (a+d)/2 -+ sqrt((a-d)^2/4 + |b|^2) of Hermitian [[a, b], [b*, d]]."""
+    mean = 0.5 * (a + d)
+    radius = np.sqrt(0.25 * (a - d) ** 2 + b_sq)
+    return mean - radius, mean + radius
 
 
-def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while b - a > _REFINE_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
+def _measurement_objective(c3, alpha, gamma, theta, phi):
+    """1 - (1/2) sum_k S(rho_A|k) in bits for the measurement on B along (theta, phi).
+
+    Both outcomes k occur with probability 1/2 and leave qubit A in
+    [[a_k, b_k], [conj(b_k), d_k]] with a_k, d_k = (1 +- (-1)^k * c3*cos(2*theta))/2
+    and b_k = (-1)^k * conj(eps) * sin(2*theta)/4, eps = alpha*exp(-i*phi) + gamma*exp(i*phi).
+    Each spectrum is the generic 2x2 one, which knows nothing of where the
+    optimum lies.  theta and phi are floats or broadcast arrays.
+    """
+    cos2t = np.cos(2.0 * theta)
+    sin2t = np.sin(2.0 * theta)
+    eps_re = (alpha + gamma) * np.cos(phi)
+    eps_im = (alpha - gamma) * np.sin(phi)  # Im conj(eps)
+    total = 0.0
+    for sign in (1.0, -1.0):
+        a = 0.5 * (1.0 + sign * c3 * cos2t)
+        d = 0.5 * (1.0 - sign * c3 * cos2t)
+        b_re = 0.25 * sign * sin2t * eps_re
+        b_im = 0.25 * sign * sin2t * eps_im
+        low, high = _spectrum_2x2(a, d, b_re * b_re + b_im * b_im)
+        total = total + _entropy_term(low) + _entropy_term(high)
+    return 1.0 - 0.5 * total
+
+
+def _multisection_max(fun, lo: float, hi: float, best_x: float, best_f: float):
+    """Sharpen (best_x, best_f) over [lo, hi]: each round evaluates fun on
+    _SECTION_POINTS even points at once and keeps the two steps around the
+    largest, until the bracket is below _REFINE_TOL.  best_f never falls."""
+    while hi - lo > _REFINE_TOL:
+        xs = np.linspace(lo, hi, _SECTION_POINTS)
+        values = fun(xs)
+        i = int(np.argmax(values))
+        if values[i] > best_f:
+            best_x, best_f = float(xs[i]), float(values[i])
+        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, _SECTION_POINTS - 1)])
     return best_x, best_f
 
 
@@ -178,21 +168,25 @@ def classical_bruteforce(
 ) -> tuple[float, MeasurementAngles]:
     """Classical correlation by direct search over measurement angles.
 
-    Maximizes 1 - sum_k (1/2) S(rho_A|k(theta, phi)) on a theta x phi grid
-    (n_phi even steps plus the quarter turns pi/2, pi, 3pi/2), then sharpens the grid argmax with one golden-section
-    pass per angle.  Ties resolve to the smallest theta, then smallest phi.
+    Maximizes 1 - sum_k (1/2) S(rho_A|k(theta, phi)) on a theta x phi grid:
+    n_theta even steps of theta over [0, pi/2] by n_phi even steps of phi plus
+    the quarter turns pi/2, pi, 3pi/2 (91 x 184 by default).  The conditional
+    spectra are the closed form of a generic Hermitian 2x2 matrix.  The grid
+    argmax is then sharpened by multisection over one grid step either side,
+    first in theta, then in phi, to _REFINE_TOL; the value never drops below
+    the grid maximum.  Ties resolve to the smallest theta, then smallest phi.
     """
     if n_theta < _MIN_THETA_POINTS or n_phi < _MIN_PHI_POINTS:
         raise DomainError(
             f"grid must be at least {_MIN_THETA_POINTS} x {_MIN_PHI_POINTS},"
             f" got {n_theta} x {n_phi}"
         )
+    c3, alpha, gamma = rho.c3, rho.alpha, rho.gamma
     thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)
     # The optimum of an X state lies at phi = 0 or pi/2 (mod pi), which n_phi
     # steps miss unless 4 divides n_phi: the quarter turns join the grid.
     phis = np.union1d(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False), _QUARTER_TURNS)
-    states = _conditional_states(rho, thetas[:, None], phis)
-    objective = 1.0 - 0.5 * np.sum(_entropies_bits(states), axis=0)
+    objective = _measurement_objective(c3, alpha, gamma, thetas[:, None], phis)
     flat_index = int(np.argmax(objective))  # row-major: smallest theta, then phi
     i_theta, i_phi = np.unravel_index(flat_index, objective.shape)
     best_value = float(objective[i_theta, i_phi])
@@ -201,20 +195,17 @@ def classical_bruteforce(
     if refine:
         step_theta = 0.5 * math.pi / (n_theta - 1)
         step_phi = 2.0 * math.pi / n_phi
-        theta_ref, value_theta = _golden_max(
-            lambda u: _measured_information(rho, u, best_phi),
-            max(0.0, best_theta - step_theta),
-            min(0.5 * math.pi, best_theta + step_theta),
+        best_theta, best_value = _multisection_max(
+            lambda u: _measurement_objective(c3, alpha, gamma, u, best_phi),
+            max(0.0, best_theta - step_theta), min(0.5 * math.pi, best_theta + step_theta),
+            best_theta, best_value,
         )
-        if value_theta > best_value:
-            best_value, best_theta = value_theta, theta_ref
-        phi_ref, value_phi = _golden_max(
-            lambda u: _measured_information(rho, best_theta, u),
-            best_phi - step_phi,
-            best_phi + step_phi,
+        best_phi, best_value = _multisection_max(
+            lambda u: _measurement_objective(c3, alpha, gamma, best_theta, u),
+            best_phi - step_phi, best_phi + step_phi, best_phi, best_value,
         )
-        if value_phi > best_value:
-            best_value, best_phi = value_phi, phi_ref % (2.0 * math.pi)
+        # twice: a tiny negative azimuth first rounds up to 2*pi itself
+        best_phi = best_phi % (2.0 * math.pi) % (2.0 * math.pi)
     return best_value, MeasurementAngles(best_theta, best_phi)
 
 

@@ -69,6 +69,41 @@ def entropy_bits(eigenvalues):
     return float(-np.sum(lam[mask] * np.log2(lam[mask])))
 
 
+def conditional_states(rho, theta, phi):
+    """Post-measurement states of qubit A for both outcomes k of a measurement on B.
+
+    theta and phi broadcast against each other; the result has shape
+    (2, *broadcast shape, 2, 2).  Both outcomes occur with probability 1/2
+    for this family, and outcome k gives
+
+        [[(1 - c3*cos(2*theta))/2,        (-1)^k * eps * sin(2*theta)/4],
+         [(-1)^k * conj(eps) * sin(2*theta)/4, (1 + c3*cos(2*theta))/2]]
+
+    with eps = alpha * exp(-i*phi) + gamma * exp(i*phi).
+    """
+    eps = rho.alpha * np.exp(-1j * phi) + rho.gamma * np.exp(1j * phi)
+    cos2t = np.cos(2.0 * theta)
+    sin2t = np.sin(2.0 * theta)
+    shape = np.broadcast_shapes(np.shape(eps), np.shape(sin2t))
+    states = np.empty((2, *shape, 2, 2), dtype=complex)
+    for k, sign in ((0, 1.0), (1, -1.0)):
+        off = 0.25 * sign * eps * sin2t
+        states[k, ..., 0, 0] = 0.5 * (1.0 - rho.c3 * cos2t)
+        states[k, ..., 1, 1] = 0.5 * (1.0 + rho.c3 * cos2t)
+        states[k, ..., 0, 1] = off
+        states[k, ..., 1, 0] = off.conjugate()
+    return states
+
+
+def measured_information(rho, theta, phi):
+    """1 - (1/2) sum_k S(rho_A|k) from conditional_states and eigvalsh: the
+    oracle for the closed-form spectra of the library's angle search."""
+    lams = np.clip(np.linalg.eigvalsh(conditional_states(rho, theta, phi)), 0.0, 1.0)
+    safe = np.where(lams > 0.0, lams, 1.0)
+    entropies = -np.sum(lams * np.log2(safe), axis=-1)
+    return 1.0 - 0.5 * np.sum(entropies, axis=0)
+
+
 def partial_trace(rho, keep):
     """Trace out one qubit of a 4x4 matrix in the (gg, ge, eg, ee) basis.
 

@@ -2,6 +2,7 @@
 quadrature route.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dephasing_discord import bath
 from dephasing_discord import (
     DomainError,
     GammaMethod,
+    QuadratureFailure,
     Reservoir,
     gamma_closed,
     gamma_quadrature,
@@ -164,6 +166,23 @@ def test_gamma_rejects_negative_time():
         gamma_closed(Reservoir(0.2, 1.0, 5.0), np.array([0.0, math.nan]))
     with pytest.raises(DomainError):
         gamma_quadrature(Reservoir(0.2, 1.0, 5.0), -0.5)
+
+
+def test_quadrature_refuses_a_panel_count_past_its_limit(monkeypatch):
+    # one panel per period 2*pi/t up to omega_c*(35 + omega_c*t): at t = 1e6
+    # the edge list alone would hold ~1.6e11 floats
+    reservoir = Reservoir(0.6, 1.0, 5.0)
+    for t in (2600.0, 1e6, 1e300, math.inf):
+        with pytest.raises(QuadratureFailure, match=f"panels exceed .* at t = {re.escape(str(t))}$"):
+            gamma_quadrature(reservoir, t)
+    # at t = 3 the count is 38 / (2*pi/3) = 18.1, so 19 panels: a limit of 19
+    # integrates as before, a limit of 18 refuses
+    before = gamma_quadrature(reservoir, 3.0)
+    monkeypatch.setattr(bath, "_QUAD_MAX_PANELS", 19)
+    assert gamma_quadrature(reservoir, 3.0) == before
+    monkeypatch.setattr(bath, "_QUAD_MAX_PANELS", 18)
+    with pytest.raises(QuadratureFailure, match="18.1 panels exceed the limit of 18"):
+        gamma_quadrature(reservoir, 3.0)
 
 
 @pytest.mark.parametrize("x", [1e31, 1e52, 1e100, 1e154, 1e200, 1e300])

@@ -227,6 +227,12 @@ def test_a_failure_after_validation_exits_3(monkeypatch, capsys):
     assert main(["curve", "--t-max", "inf"]) == 2
 
 
+def test_quadrature_past_its_panel_limit_exits_3(capsys):
+    assert main(["curve", "--method", "quadrature", "--t-max", "1e6", "--points", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "panels exceed the limit of 1048576" in err and "t = 1000000.0" in err
+
+
 def test_surface_sweep_prepends_parameter_column(capsys):
     argv = ["surface", "--sweep-param", "eta", "--sweep-start", "0.2",
             "--sweep-stop", "0.4", "--sweep-count", "2",
@@ -313,9 +319,9 @@ GOLDEN = {
     ("critical-time",):
         "e961b72f654d596bc1237f79796e6756afe124192fd3ee24256c5197e213cb13",
     ("verify",):
-        "91df3314cc4d0c988d4c2053011502c3f9ed39030d9b0609667800526d4cc120",
+        "2f8e2082c3e97f9241eaa18bec73a29ad4044bcf8635a7f9f56bf1cba861cf4a",
     ("curve", "--method", "bruteforce", "--points", "6", "--t-max", "20"):
-        "d29f2d9ecc83fc734044ca2c3d631d09090da4767d39f5f996a6747a27bf90d4",
+        "49c1d3245b52c68dae2aa35e6af95dfc55ab5616e1a0bea1807d966d1be73207",
     ("figure", "fig2"):
         "8f22fe172143a68f6f158f11b45648230f5e9e8bcd2bb45495091b4337c3147d",
     ("figure", "fig5"):

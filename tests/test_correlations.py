@@ -1,4 +1,5 @@
 """Mutual information, classical correlation (both paths), and discord."""
+import decimal
 import math
 from dataclasses import replace
 
@@ -25,10 +26,18 @@ from dephasing_discord import (
     gamma_closed,
     mutual_information,
 )
-from dephasing_discord.correlations import _conditional_states
 from dephasing_discord.evolution import eigenvalues
 
-from conftest import entropy_bits, partial_trace, system_configs, times
+from dephasing_discord.correlations import _measurement_objective, _spectrum_2x2
+
+from conftest import (
+    conditional_states,
+    entropy_bits,
+    measured_information,
+    partial_trace,
+    system_configs,
+    times,
+)
 
 PLATEAU_04 = 0.11870910076930738  # binary_entropy_like(0.4), 53-bit value
 PLATEAU_02 = 0.02904940554533136
@@ -83,14 +92,14 @@ def test_mutual_information_reference_value():
 def test_conditional_state_pinned_matrices():
     rho = evolve(plateau_family_config(), 0.0)
     # equatorial measurement: epsilon = alpha + gamma = 2, populations even
-    m0, m1 = _conditional_states(rho, math.pi / 4.0, 0.0)
+    m0, m1 = conditional_states(rho, math.pi / 4.0, 0.0)
     assert np.allclose(m0, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-15)
     assert np.allclose(m1, np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-15)
     # polar measurement: diagonal with populations (1 -+ c3)/2
-    mz, _ = _conditional_states(rho, 0.0, 0.0)
+    mz, _ = conditional_states(rho, 0.0, 0.0)
     assert np.allclose(mz, np.diag([0.7, 0.3]), atol=1e-15)
     # array angles broadcast to one state pair per (theta, phi)
-    grid = _conditional_states(rho, np.array([[0.0], [math.pi / 4.0]]), np.zeros(3))
+    grid = conditional_states(rho, np.array([[0.0], [math.pi / 4.0]]), np.zeros(3))
     assert grid.shape == (2, 2, 3, 2, 2)
     assert np.allclose(grid[:, 1, 2], [m0, m1], atol=1e-15)
 
@@ -105,11 +114,86 @@ def test_conditional_state_pinned_matrices():
 @settings(max_examples=150, deadline=None)
 def test_conditional_states_are_single_qubit_density_matrices(config, t, theta, phi, k):
     rho = evolve(config, t)
-    m = _conditional_states(rho, theta, phi)[k]
+    m = conditional_states(rho, theta, phi)[k]
     assert m.shape == (2, 2)
     assert abs(np.trace(m) - 1.0) <= 1e-12
     assert np.max(np.abs(m - m.conj().T)) <= 1e-12
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
+
+
+def _exact_spectrum(a, d, b_re, b_im):
+    """The spectrum of [[a, b], [conj(b), d]] in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, d, b_re, b_im = map(decimal.Decimal, (a, d, b_re, b_im))
+        mean = (a + d) / 2
+        radius = ((a - d) ** 2 / 4 + b_re * b_re + b_im * b_im).sqrt()
+        return float(mean - radius), float(mean + radius)
+
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+half = st.floats(-0.5, 0.5, allow_nan=False)
+
+
+@given(unit, unit, half, half, st.sampled_from(["any", "a = d", "b = 0", "rank 1"]))
+@settings(max_examples=300, derandomize=True)
+def test_spectrum_2x2_is_the_eigvalsh_spectrum(a, d, b_re, b_im, case):
+    # Hermitian 2x2 matrices at the scale of density matrices.  LAPACK itself
+    # is off by ~1e-15 on about one draw in a million, so the draws are fixed.
+    if case == "a = d":
+        d = a
+    elif case == "b = 0":
+        b_re = b_im = 0.0
+    elif case == "rank 1":  # |v><v| for the unit vector v = (cos u, sin u * exp(i*p))
+        u, p = 0.5 * math.pi * a, 4.0 * math.pi * b_re
+        a, d = math.cos(u) ** 2, math.sin(u) ** 2
+        b = math.cos(u) * math.sin(u) * complex(math.cos(p), -math.sin(p))
+        b_re, b_im = b.real, b.imag
+    matrix = np.array([[a, complex(b_re, b_im)], [complex(b_re, -b_im), d]])
+    low, high = _spectrum_2x2(a, d, b_re * b_re + b_im * b_im)
+    expected = np.linalg.eigvalsh(matrix)
+    assert abs(low - expected[0]) <= 1e-15
+    assert abs(high - expected[1]) <= 1e-15
+    exact = _exact_spectrum(a, d, b_re, b_im)
+    assert abs(low - exact[0]) <= 4.5e-16
+    assert abs(high - exact[1]) <= 4.5e-16
+
+
+def _library_grid():
+    thetas = np.linspace(0.0, 0.5 * math.pi, 91)
+    phis = np.union1d(
+        np.linspace(0.0, 2.0 * math.pi, 181, endpoint=False), [0.5 * math.pi, math.pi, 1.5 * math.pi]
+    )
+    return thetas, phis
+
+
+@given(system_configs(), times)
+@settings(max_examples=60, deadline=None)
+def test_grid_objective_matches_the_eigvalsh_oracle(config, t):
+    rho = evolve(config, t)
+    thetas, phis = _library_grid()
+    fast = _measurement_objective(rho.c3, rho.alpha, rho.gamma, thetas[:, None], phis)
+    oracle = measured_information(rho, thetas[:, None], phis)
+    assert fast.shape == oracle.shape == (91, 184)
+    assert np.max(np.abs(fast - oracle)) <= 1e-14
+    # one state, plain angles
+    assert abs(_measurement_objective(rho.c3, rho.alpha, rho.gamma, 0.3, 1.1)
+               - measured_information(rho, 0.3, 1.1)) <= 1e-14
+
+
+@given(system_configs(), times)
+@settings(max_examples=60, deadline=None)
+def test_refinement_stays_within_one_step_of_the_grid_argmax(config, t):
+    rho = evolve(config, t)
+    grid, at = classical_bruteforce(rho, refine=False)
+    refined, angles = classical_bruteforce(rho)
+    thetas, phis = _library_grid()
+    objective = measured_information(rho, thetas[:, None], phis)
+    assert grid == pytest.approx(float(np.max(objective)), abs=1e-14)
+    assert refined >= grid
+    assert abs(angles.theta - at.theta) <= 0.5 * math.pi / 90 + 1e-15
+    turn = abs(angles.phi - at.phi)
+    assert min(turn, 2.0 * math.pi - turn) <= 2.0 * math.pi / 181 + 1e-15
 
 
 def test_measurement_angles_validate_ranges():
