@@ -11,7 +11,6 @@ import math
 from pathlib import Path
 
 from dephasing_discord import (
-    QubitPair,
     Reservoir,
     SystemConfig,
     XStateParams,
@@ -33,7 +32,6 @@ def crossing_summary():
         ("fig4 |c3|=0.8", 0.2, 5.0, -0.8),
     ):
         config = SystemConfig(
-            qubits=QubitPair(0.0, 0.0),
             bath_a=Reservoir(eta, 1.0, beta),
             bath_b=Reservoir(eta, 1.0, beta),
             state=XStateParams(1.0, -c3, c3),
@@ -41,7 +39,6 @@ def crossing_summary():
         lines.append((label, critical_time_solve(config).t_p))
     for kappa in (0.2, 1.0, 5.0):
         config = SystemConfig(
-            qubits=QubitPair(0.0, 0.0),
             bath_a=Reservoir(0.12, 1.0, 5.0),
             bath_b=Reservoir(0.12, 1.0, kappa * 5.0),
             state=XStateParams(1.0, 0.4, -0.4),

@@ -17,7 +17,6 @@ from .core import (
     NonPhysicalState,
     NoRootInRange,
     QuadratureFailure,
-    QubitPair,
     Regime,
     Reservoir,
     SystemConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "NonPhysicalState",
     "NoRootInRange",
     "QuadratureFailure",
-    "QubitPair",
     "Regime",
     "Reservoir",
     "SystemConfig",

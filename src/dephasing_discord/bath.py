@@ -21,13 +21,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from itertools import repeat
-from types import SimpleNamespace
 
 import numpy as np
 
-from .core import DomainError, QuadratureFailure, Reservoir, _elementwise, _reject
+from .core import DomainError, QuadratureFailure, Reservoir, _reject
 
 # Truncation target for the thermal series (absolute, applied to Gamma).
 SERIES_TAIL_TARGET = 1e-13
@@ -72,21 +69,7 @@ class DecoherenceEval:
     est_error: float | np.ndarray
 
 
-# The libm functions of the closed form, for a float and elementwise for an
-# array.  pow(v, 3.0) is what float ** 3 computes.
-_FLOAT_LIBM = SimpleNamespace(
-    log1p=math.log1p, exp=math.exp, sqrt=math.sqrt, atan=math.atan, pow=math.pow
-)
-_ARRAY_LIBM = SimpleNamespace(
-    log1p=partial(_elementwise, math.log1p),
-    exp=partial(_elementwise, math.exp),
-    sqrt=partial(_elementwise, math.sqrt),
-    atan=partial(_elementwise, math.atan),
-    pow=lambda v, p: np.fromiter(map(math.pow, v.tolist(), repeat(p)), float, v.size),
-)
-
-
-def _tail_bound(u: float, xsq, b: float, libm):
+def _tail_bound(u: float, xsq, b: float):
     """(7/5760) b^3 |d^3/du^3 ln(1 + xsq/u^2)| at the midpoint u, elementwise in xsq.
 
     The magnitude of the next term of the midpoint Euler-Maclaurin expansion
@@ -94,7 +77,7 @@ def _tail_bound(u: float, xsq, b: float, libm):
     """
     usq = u * u
     third = -4.0 * xsq * (6.0 * usq * usq + 3.0 * usq * xsq + xsq * xsq) / (
-        u**3 * libm.pow(usq + xsq, 3.0)
+        u**3 * (usq + xsq) ** 3
     )
     return (7.0 / 5760.0) * b**3 * abs(third)
 
@@ -104,7 +87,8 @@ def _denominators(n_terms: int, b: float) -> np.ndarray:
 
 
 def _with_tail(partial_sum, xsq, u, b: float, libm):
-    """Partial sum plus the tail integral and its first derivative correction."""
+    """Partial sum plus the tail integral and its first derivative correction;
+    libm is math for floats, numpy for arrays."""
     x = libm.sqrt(xsq)
     integral = (2.0 * x * libm.atan(x / u) - u * libm.log1p(xsq / (u * u))) / b
     correction = (b / 24.0) * (-2.0 * xsq / (u * (u * u + xsq)))
@@ -121,10 +105,9 @@ def _thermal_series(x, b: float):
     from 32 until that bound meets SERIES_TAIL_TARGET.
 
     The points that stop at the same N share one row of denominators, and
-    each point's N terms stay one contiguous row of the (pairwise) sum, so
-    every value equals the one-point sum.  Chunks split the points, never a
-    row, and hold at most max(N, _CHUNK_ELEMENTS) terms.  A point past
-    _WIDE_X or _WIDE_B is summed by _wide_series instead.
+    each point's N terms are one row of the (pairwise) sum.  Chunks split
+    the points, never a row, and hold at most max(N, _CHUNK_ELEMENTS) terms.
+    A point past _WIDE_X or _WIDE_B is summed by _wide_series instead.
     """
     # One time, as in each step of the crossing solver's bisection: the same
     # rule in plain floats, where numpy's per-call cost would dominate.
@@ -137,12 +120,12 @@ def _thermal_series(x, b: float):
         n_terms = 32
         while True:
             u_mid = 1.0 + b * (n_terms + 0.5)
-            bound = _tail_bound(u_mid, xsq, b, _FLOAT_LIBM)
+            bound = _tail_bound(u_mid, xsq, b)
             if bound <= SERIES_TAIL_TARGET or n_terms >= SERIES_TERM_CAP:
                 break
             n_terms *= 2
         partial = float(np.add.reduce(np.log1p(xsq / _denominators(n_terms, b))))
-        return _with_tail(partial, xsq, u_mid, b, _FLOAT_LIBM), bound
+        return _with_tail(partial, xsq, u_mid, b, math), bound
     wide = (x > _WIDE_X) | (b > _WIDE_B)
     narrow = np.where(wide, 0.0, x)
     xsq = narrow * narrow
@@ -156,7 +139,7 @@ def _thermal_series(x, b: float):
     n_terms = 32
     while pending.size:
         u = 1.0 + b * (n_terms + 0.5)
-        pending_bound = _tail_bound(u, xsq[pending], b, _ARRAY_LIBM)
+        pending_bound = _tail_bound(u, xsq[pending], b)
         done = pending_bound <= SERIES_TAIL_TARGET
         if n_terms >= SERIES_TERM_CAP:
             done[:] = True
@@ -171,9 +154,7 @@ def _thermal_series(x, b: float):
             series[chunk] = np.add.reduce(np.log1p(terms, out=terms), axis=1)
         pending = pending[~done]
         n_terms *= 2
-    series[summed] = _with_tail(
-        series[summed], xsq[summed], u_mid[summed], b, _ARRAY_LIBM
-    )
+    series[summed] = _with_tail(series[summed], xsq[summed], u_mid[summed], b, np)
     return series, bound
 
 
@@ -232,7 +213,8 @@ def gamma_closed(reservoir: Reservoir, t) -> DecoherenceEval:
     """Dephasing exponent via the summed closed form.
 
     t is a float, or a 1-D array of times; the fields of the result are then
-    arrays of the same length, each element equal to the float evaluation.
+    arrays of the same length.  The float form uses Python's math, the array
+    form numpy's ufuncs; the two agree to within 2e-15 * max(1, Gamma).
     est_error reports the certified truncation bound of the thermal series
     (zero at beta = inf, where the result is exact up to rounding).
     """
@@ -251,10 +233,10 @@ def gamma_closed(reservoir: Reservoir, t) -> DecoherenceEval:
         t = _times(t)
         x = reservoir.omega_c * t
         with np.errstate(over="ignore"):
-            gamma = 0.5 * _ARRAY_LIBM.log1p(x * x)
+            gamma = 0.5 * np.log1p(x * x)
         overflowed = gamma == math.inf
-        gamma[overflowed] = _elementwise(math.log, x[overflowed])
-        exp, err = _ARRAY_LIBM.exp, np.zeros_like(t)
+        gamma[overflowed] = np.log(x[overflowed])
+        exp, err = np.exp, np.zeros_like(t)
     if not math.isinf(reservoir.beta):
         series, bound = _thermal_series(x, reservoir.beta * reservoir.omega_c)
         gamma = gamma + series

@@ -12,7 +12,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from .core import (
     NonPhysicalState,
     NoRootInRange,
     QuadratureFailure,
-    QubitPair,
     Regime,
     Reservoir,
     SystemConfig,
@@ -112,7 +111,8 @@ class RunSpec:
     t_max: float
     points: int
     method: RunMethod
-    sweep: tuple[str, tuple[float, ...]] | None = None
+    # surface: the swept parameter and one (value, config) case per value
+    sweep: tuple[str, list[tuple[float, SystemConfig]]] | None = None
 
 
 def _parse_config_file(path: str) -> dict[str, float | int | str]:
@@ -178,8 +178,15 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, float | int | str]:
 
 
 def _build_config(settings: dict) -> SystemConfig:
+    # The splittings rotate coherence phases only and enter no computation,
+    # but a command line that sets them to nonsense is still refused.
+    for key in ("omega_A", "omega_B"):
+        name, value = key.lower(), float(settings[key])
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+        if value < 0.0:
+            raise DomainError(f"{name} must be >= 0, got {value!r}")
     return SystemConfig(
-        qubits=QubitPair(float(settings["omega_A"]), float(settings["omega_B"])),
         bath_a=Reservoir(
             float(settings["eta_a"]), float(settings["omega_c_a"]), float(settings["beta_a"])
         ),
@@ -192,50 +199,42 @@ def _build_config(settings: dict) -> SystemConfig:
     )
 
 
+def _sweep_settings(settings: dict, param: str, value: float) -> dict:
+    """settings with the swept parameter at value: "beta" and "eta" set both
+    baths, "kappa" sets beta_b = value * beta_a."""
+    if param == "kappa":
+        return {**settings, "beta_b": value * float(settings["beta_a"])}
+    keys = (param + "_a", param + "_b") if param in ("beta", "eta") else (param,)
+    return {**settings, **dict.fromkeys(keys, value)}
+
+
 def _build_runspec(args: argparse.Namespace) -> RunSpec:
     settings = _resolve_settings(args)
-    sweep = None
+    values = None
     if args.command == "surface":
-        param = args.sweep_param
         count = int(args.sweep_count)
         if count < 2:
             raise DomainError(f"--sweep-count must be >= 2, got {count}")
         start, stop = float(args.sweep_start), float(args.sweep_stop)
         if not (math.isfinite(start) and math.isfinite(stop)) or start <= 0 or stop <= 0:
             raise DomainError("sweep range must be positive and finite")
-        sweep = (param, tuple(float(v) for v in np.linspace(start, stop, count)))
+        values = np.linspace(start, stop, count).tolist()
     points = int(settings["points"])
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points}")
     t_max = float(settings["t_max"])
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be > 0 and finite, got {t_max}")
-    return RunSpec(
-        config=_build_config(settings),
-        t_max=t_max,
-        points=points,
-        method=RunMethod(settings["method"]),
-        sweep=sweep,
-    )
+    config = _build_config(settings)
+    sweep = None
+    if values is not None:
+        param = args.sweep_param
+        sweep = (param, [(v, _build_config(_sweep_settings(settings, param, v))) for v in values])
+    return RunSpec(config, t_max, points, RunMethod(settings["method"]), sweep)
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def _with_sweep_value(config: SystemConfig, param: str, value: float) -> SystemConfig:
-    bath_a, bath_b = config.bath_a, config.bath_b
-    if param in ("beta", "beta_a"):
-        bath_a = replace(bath_a, beta=value)
-    if param in ("beta", "beta_b"):
-        bath_b = replace(bath_b, beta=value)
-    if param in ("eta", "eta_a"):
-        bath_a = replace(bath_a, eta=value)
-    if param in ("eta", "eta_b"):
-        bath_b = replace(bath_b, eta=value)
-    if param == "kappa":
-        bath_b = replace(bath_b, beta=value * bath_a.beta)
-    return replace(config, bath_a=bath_a, bath_b=bath_b)
 
 
 def _sweep_csv(
@@ -272,9 +271,10 @@ def run_sweep(spec: RunSpec) -> str:
     """A curve, or with spec.sweep set a surface led by the swept value."""
     if spec.sweep is None:
         return _sweep_csv((), [((), spec.config)], spec.t_max, spec.points, spec.method)
-    param, values = spec.sweep
-    cases = (((v,), _with_sweep_value(spec.config, param, v)) for v in values)
-    return _sweep_csv((param,), cases, spec.t_max, spec.points, spec.method)
+    param, cases = spec.sweep
+    return _sweep_csv(
+        (param,), (((v,), config) for v, config in cases), spec.t_max, spec.points, spec.method
+    )
 
 
 def run_critical_time(spec: RunSpec) -> str:
@@ -352,8 +352,8 @@ def _verify_checks(debug_prefactor_8: bool):
         c3 = float(rng.uniform(-1.0, 1.0))
         a0 = float(rng.uniform(-(1.0 + c3), 1.0 + c3))
         g0 = float(rng.uniform(-(1.0 - c3), 1.0 - c3))
+        rng.uniform(0.0, 10.0, size=2)  # the splittings, which move no correlation
         config = SystemConfig(
-            qubits=QubitPair(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
             bath_a=Reservoir(
                 float(rng.uniform(0.05, 1.0)),
                 1.0,
@@ -378,7 +378,6 @@ def _verify_checks(debug_prefactor_8: bool):
     for eta in (0.1, 0.2, 0.5):
         for magnitude in (0.2, 0.4, 0.8):
             config = SystemConfig(
-                qubits=QubitPair(0.0, 0.0),
                 bath_a=Reservoir(eta, 1.0, math.inf),
                 bath_b=Reservoir(eta, 1.0, math.inf),
                 state=XStateParams(1.0, magnitude, -magnitude),

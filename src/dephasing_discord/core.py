@@ -56,20 +56,6 @@ class Regime(Enum):
     DECAY = "DECAY"
 
 
-def _elementwise(fn, values):
-    """A math function of a float, or of each element of an array.
-
-    numpy's SIMD log2, log1p and exp differ from libm in the last bit on a
-    few percent of inputs, so array code calls the same libm as float code
-    and every element keeps the float result.
-    """
-    if isinstance(values, np.ndarray):
-        return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(
-            values.shape
-        )
-    return fn(values)
-
-
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -80,16 +66,6 @@ def _require_finite(name: str, value: float) -> float:
 def _at(values, i):
     """Element i of a column, or the value itself for a single sample."""
     return float(values if i is None or np.ndim(values) == 0 else values[i])
-
-
-def _max(a, b):
-    """Python's max(a, b) elementwise (a unless b > a, so nan in b is passed over)."""
-    return np.where(b > a, b, a)
-
-
-def _min(a, b):
-    """Python's min(a, b) elementwise (a unless b < a)."""
-    return np.where(b < a, b, a)
 
 
 def _plain(value):
@@ -178,24 +154,13 @@ class Reservoir:
 
 
 @dataclass(frozen=True)
-class QubitPair:
-    """Level splittings of the two probe qubits; they rotate coherence phases only."""
-
-    omega_a: float
-    omega_b: float
-
-    def __post_init__(self):
-        for name in ("omega_a", "omega_b"):
-            value = _require_finite(name, getattr(self, name))
-            if value < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {value!r}")
-
-
-@dataclass(frozen=True)
 class SystemConfig:
-    """Full problem statement: qubit splittings, the two reservoirs, the initial state."""
+    """Full problem statement: the two reservoirs and the initial state.
 
-    qubits: QubitPair
+    The qubits' level splittings are not part of it: they rotate coherence
+    phases only, a local unitary that moves no correlation.
+    """
+
     bath_a: Reservoir
     bath_b: Reservoir
     state: XStateParams

@@ -20,9 +20,6 @@ from .core import (
     DomainError,
     XDensityMatrix,
     _at,
-    _elementwise,
-    _max,
-    _min,
     _plain,
     _reject,
 )
@@ -84,35 +81,36 @@ def binary_entropy_like(x):
         raise DomainError(
             f"argument must lie in [0, 1], got {float(np.asarray(x)[outside][0])!r}"
         )
-    x = _min(_max(x, 0.0), 1.0)
+    x = np.clip(x, 0.0, 1.0)
     one = x == 1.0
     x = np.where(one, 0.0, x)  # log1p(-1) is a domain error; that value is 1
-    low = (1.0 - x) * _elementwise(math.log1p, -x)
-    high = (1.0 + x) * _elementwise(math.log1p, x)
+    low = (1.0 - x) * np.log1p(-x)
+    high = (1.0 + x) * np.log1p(x)
     return _plain(np.where(one, 1.0, 0.5 * (low + high) / _LN2))
-
-
-def mutual_information(rho: XDensityMatrix):
-    """I = 2 + sum_i lambda_i log2 lambda_i over the X-state spectrum."""
-    total = 2.0
-    for lam in eigenvalues(rho):
-        positive = lam > 0.0
-        total = total + np.where(positive, lam, 0.0) * _elementwise(
-            math.log2, np.where(positive, lam, 1.0)
-        )
-    return _plain(total)
-
-
-def classical_closed(rho: XDensityMatrix):
-    """Closed-form classical correlation and the branch variable chi."""
-    chi = _plain(_max(abs(rho.c3), 0.5 * (abs(rho.alpha) + abs(rho.gamma))))
-    return binary_entropy_like(chi), chi
 
 
 def _entropy_term(lam):
     """-lam * log2(lam) of a spectrum entry clamped to [0, 1], 0*log(0) read as 0."""
     lam = np.clip(lam, 0.0, 1.0)
     return -lam * np.log2(np.where(lam > 0.0, lam, 1.0))
+
+
+def mutual_information(rho: XDensityMatrix):
+    """I = 2 + sum_i lambda_i log2 lambda_i over the X-state spectrum."""
+    total = 2.0
+    for lam in eigenvalues(rho):
+        total = total - _entropy_term(lam)
+    return _plain(total)
+
+
+def classical_closed(rho: XDensityMatrix):
+    """Closed-form classical correlation and the branch variable chi.
+
+    fmax passes over a nan coherence, so a column with a bad row still gets
+    to the row checks, which name its time.
+    """
+    chi = _plain(np.fmax(abs(rho.c3), 0.5 * (abs(rho.alpha) + abs(rho.gamma))))
+    return binary_entropy_like(chi), chi
 
 
 def _spectrum_2x2(a, d, b_sq):

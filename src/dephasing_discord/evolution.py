@@ -7,8 +7,6 @@ time stepping is involved.
 """
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from .bath import GammaMethod, _times, gamma_closed, gamma_quadrature
@@ -18,8 +16,6 @@ from .core import (
     SystemConfig,
     XDensityMatrix,
     _at,
-    _max,
-    _min,
     _plain,
     _reject,
 )
@@ -75,7 +71,7 @@ def eigenvalues(rho: XDensityMatrix) -> tuple:
         (1.0 - rho.c3 - mod_gamma) / 4.0,
         (1.0 - rho.c3 + mod_gamma) / 4.0,
     )
-    worst = reduce(_min, raw)
+    worst = np.min(raw, axis=0)
     _reject(worst < -EIGENVALUE_TOL, NonPhysicalState, rho.t,
             lambda i: f"eigenvalue {_at(worst, i)!r} below -{EIGENVALUE_TOL}")
-    return tuple(_plain(_min(_max(lam, 0.0), 1.0)) for lam in raw)
+    return tuple(_plain(np.clip(lam, 0.0, 1.0)) for lam in raw)

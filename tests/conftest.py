@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dephasing_discord import (
     DomainError,
-    QubitPair,
     Reservoir,
     SystemConfig,
     XStateParams,
@@ -43,16 +42,8 @@ def reservoirs(draw, allow_zero_temperature=True):
 
 
 @st.composite
-def system_configs(draw, zero_splitting=False):
-    if zero_splitting:
-        qubits = QubitPair(0.0, 0.0)
-    else:
-        qubits = QubitPair(
-            draw(st.floats(0.0, 10.0, allow_nan=False)),
-            draw(st.floats(0.0, 10.0, allow_nan=False)),
-        )
+def system_configs(draw):
     return SystemConfig(
-        qubits=qubits,
         bath_a=draw(reservoirs()),
         bath_b=draw(reservoirs()),
         state=draw(valid_states()),
@@ -60,6 +51,9 @@ def system_configs(draw, zero_splitting=False):
 
 
 times = st.floats(0.0, 30.0, allow_nan=False)
+# Level splittings (omega_a, omega_b) of the two qubits: the free phases of
+# the lab frame, which the rotating-frame state leaves out.
+splittings = st.tuples(st.floats(0.0, 10.0, allow_nan=False), st.floats(0.0, 10.0, allow_nan=False))
 
 
 def entropy_bits(eigenvalues):
@@ -69,30 +63,31 @@ def entropy_bits(eigenvalues):
     return float(-np.sum(lam[mask] * np.log2(lam[mask])))
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
 def conditional_states(rho, theta, phi):
     """Post-measurement states of qubit A for both outcomes k of a measurement on B.
 
-    theta and phi broadcast against each other; the result has shape
-    (2, *broadcast shape, 2, 2).  Both outcomes occur with probability 1/2
-    for this family, and outcome k gives
-
-        [[(1 - c3*cos(2*theta))/2,        (-1)^k * eps * sin(2*theta)/4],
-         [(-1)^k * conj(eps) * sin(2*theta)/4, (1 + c3*cos(2*theta))/2]]
-
-    with eps = alpha * exp(-i*phi) + gamma * exp(i*phi).
+    The measurement projects B on P_k = (I + (-1)^k n.sigma)/2 along the Bloch
+    direction n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta), and
+    outcome k leaves A in Tr_B[(I x P_k) rho (I x P_k)] / p_k, computed here
+    from the 4x4 matrix alone.  theta and phi broadcast against each other;
+    the result has shape (2, *broadcast shape, 2, 2).
     """
-    eps = rho.alpha * np.exp(-1j * phi) + rho.gamma * np.exp(1j * phi)
-    cos2t = np.cos(2.0 * theta)
-    sin2t = np.sin(2.0 * theta)
-    shape = np.broadcast_shapes(np.shape(eps), np.shape(sin2t))
-    states = np.empty((2, *shape, 2, 2), dtype=complex)
-    for k, sign in ((0, 1.0), (1, -1.0)):
-        off = 0.25 * sign * eps * sin2t
-        states[k, ..., 0, 0] = 0.5 * (1.0 - rho.c3 * cos2t)
-        states[k, ..., 1, 1] = 0.5 * (1.0 + rho.c3 * cos2t)
-        states[k, ..., 0, 1] = off
-        states[k, ..., 1, 0] = off.conjugate()
-    return states
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    n = np.stack(
+        [np.sin(2.0 * theta) * np.cos(phi), np.sin(2.0 * theta) * np.sin(phi), np.cos(2.0 * theta)],
+        axis=-1,
+    )
+    r = rho.to_matrix().reshape(2, 2, 2, 2)  # r[a, b, a', b'] = <a b|rho|a' b'>
+    states = []
+    for sign in (1.0, -1.0):
+        proj = 0.5 * (np.eye(2) + sign * np.einsum("...x,xbc->...bc", n, PAULI))
+        unnormalized = np.einsum("...db,ibjc,...cd->...ij", proj, r, proj)
+        p_k = np.trace(unnormalized, axis1=-2, axis2=-1)
+        states.append(unnormalized / p_k[..., None, None])
+    return np.stack(states)
 
 
 def measured_information(rho, theta, phi):

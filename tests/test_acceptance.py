@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 
 from dephasing_discord import (
-    QubitPair,
     Regime,
     Reservoir,
     SystemConfig,
@@ -42,7 +41,6 @@ def report(n, description, ok, detail=""):
 
 def equal_bath_config(eta, beta, c3=-0.4):
     return SystemConfig(
-        qubits=QubitPair(0.0, 0.0),
         bath_a=Reservoir(eta, 1.0, beta),
         bath_b=Reservoir(eta, 1.0, beta),
         state=XStateParams(1.0, -c3, c3),
@@ -108,8 +106,8 @@ def test_criterion_04_measurement_optimization_oracle():
         c3 = float(rng.uniform(-1.0, 1.0))
         a = float(rng.uniform(-(1.0 + c3), 1.0 + c3))
         g = float(rng.uniform(-(1.0 - c3), 1.0 - c3))
+        rng.uniform(0.0, 10.0, size=2)  # the splittings, which move no correlation
         config = SystemConfig(
-            qubits=QubitPair(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
             bath_a=Reservoir(float(rng.uniform(0.05, 1.0)), 1.0,
                              float(rng.uniform(1.0, 50.0))),
             bath_b=Reservoir(float(rng.uniform(0.05, 1.0)), 1.0,
@@ -187,7 +185,6 @@ def test_criterion_07_temperature_ratio_families():
     for kappa in (0.2, 1.0, 5.0):
         for beta_a in (1.0, 5.0, 10.0):
             config = SystemConfig(
-                qubits=QubitPair(0.0, 0.0),
                 bath_a=Reservoir(0.12, 1.0, beta_a),
                 bath_b=Reservoir(0.12, 1.0, kappa * beta_a),
                 state=XStateParams(1.0, 0.4, -0.4),
@@ -263,8 +260,8 @@ def test_criterion_09_additivity_and_state_invariants():
         c3 = float(rng.uniform(-1.0, 1.0))
         a = float(rng.uniform(-(1.0 + c3), 1.0 + c3))
         g = float(rng.uniform(-(1.0 - c3), 1.0 - c3))
+        rng.uniform(0.0, 10.0, size=2)  # the splittings, which move no correlation
         config = SystemConfig(
-            qubits=QubitPair(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
             bath_a=Reservoir(float(rng.uniform(0.05, 2.0)),
                              float(rng.uniform(0.5, 3.0)),
                              math.inf if rng.uniform() < 0.2

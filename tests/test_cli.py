@@ -250,6 +250,48 @@ def test_surface_rejects_bad_sweep(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("param,expected", [
+    ("beta", lambda v: (0.6, v, 0.6, v)),
+    ("beta_a", lambda v: (0.6, v, 0.6, 10.0)),
+    ("beta_b", lambda v: (0.6, 4.0, 0.6, v)),
+    ("eta", lambda v: (v, 4.0, v, 10.0)),
+    ("eta_a", lambda v: (v, 4.0, 0.6, 10.0)),
+    ("eta_b", lambda v: (0.6, 4.0, v, 10.0)),
+    ("kappa", lambda v: (0.6, 4.0, 0.6, v * 4.0)),
+])
+def test_sweep_cases_set_the_swept_parameter(param, expected):
+    # beta_b comes from --kappa: sweeping beta_a leaves it at 2.5 * 4
+    spec = spec_for(["surface", "--beta-a", "4", "--kappa", "2.5", "--sweep-param", param,
+                     "--sweep-start", "0.5", "--sweep-stop", "2", "--sweep-count", "4"])
+    name, cases = spec.sweep
+    assert name == param
+    assert [v for v, _ in cases] == [0.5, 1.0, 1.5, 2.0]
+    for v, config in cases:
+        baths = (config.bath_a.eta, config.bath_a.beta, config.bath_b.eta, config.bath_b.beta)
+        assert baths == expected(v)
+        assert config.state == spec.config.state
+
+
+def test_splittings_are_validated_but_move_no_column(tmp_path, capsys):
+    for flags, message in (
+        (["--omega-A", "-1"], "omega_a must be >= 0, got -1.0"),
+        (["--omega-B", "nan"], "omega_b must be finite, got nan"),
+        (["--omega-A", "inf"], "omega_a must be finite, got inf"),
+    ):
+        for command in ("curve", "surface", "critical-time"):
+            assert main([command, *flags]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega_B = -0.5\n")
+    assert main(["curve", "--config", str(cfg)]) == 2
+    assert "omega_b must be >= 0" in capsys.readouterr().err
+    cfg.write_text("omega_A = 2\nomega_B = 0.5\n")
+    assert main(["curve", "--config", str(cfg), "--points", "5"]) == 0
+    rotated = capsys.readouterr().out
+    assert main(["curve", "--points", "5"]) == 0
+    assert rotated == capsys.readouterr().out
+
+
 def test_figure_presets_row_counts():
     for name, expected in (("fig2", 1 + 50 * 300), ("fig3", 1 + 3 * 300),
                            ("fig4", 1 + 3 * 300), ("fig5", 1 + 3 * 50 * 300)):
@@ -308,38 +350,38 @@ def test_verify_report_passes_and_flags_injected_error(capsys):
 # the program's results and has to be made on purpose.
 GOLDEN = {
     ("figure", "fig3"):
-        "21cbf620c69fb0c95ee72b587a338af87b99878d73b94831e8ed82e5f7a76f10",
+        "1b0bd7f778513d11d5959ac8cbe27236c8d7dd98327288164666230a51c722ea",
     ("figure", "fig4"):
-        "73963531937b1f7a27e7fc471aeb2c808f793e1ada7b7f0ba9323d0d7202e563",
+        "a08359666036bfcbaaf9a9ab9d1ae34494462659f5ee8151f4355324daa15a38",
     ("curve",):
-        "a16a26878833a6805b0da1c9da44a6f4a71745acad31dca82976044745740dc4",
+        "2a4db97a806419a7b06ebad72a408bb08e5da77d0aecc9b37abb91b5ecd086fa",
     # the free splittings move no column
     ("curve", "--omega-A", "3", "--omega-B", "1.7"):
-        "a16a26878833a6805b0da1c9da44a6f4a71745acad31dca82976044745740dc4",
+        "2a4db97a806419a7b06ebad72a408bb08e5da77d0aecc9b37abb91b5ecd086fa",
     ("critical-time",):
         "e961b72f654d596bc1237f79796e6756afe124192fd3ee24256c5197e213cb13",
     ("verify",):
         "2f8e2082c3e97f9241eaa18bec73a29ad4044bcf8635a7f9f56bf1cba861cf4a",
     ("curve", "--method", "bruteforce", "--points", "6", "--t-max", "20"):
-        "49c1d3245b52c68dae2aa35e6af95dfc55ab5616e1a0bea1807d966d1be73207",
+        "713b9a6473eb812520b4b7a29e93ff46cf7633f5a7ec1aec0676404a25fb00bd",
     ("figure", "fig2"):
-        "8f22fe172143a68f6f158f11b45648230f5e9e8bcd2bb45495091b4337c3147d",
+        "787c861c3fd0e98f51beaa4629cf981f82e1ab036674171944574fd0586bba2f",
     ("figure", "fig5"):
-        "83b30773d9697f779a72f045e77b1c8d62c639cbaaffe3532323060e3e913335",
+        "17fbba77c0bb6b6f1393d947988f2b9b60237b70dcb8182da17d9a009add0fa3",
     # 10 x 300 surfaces with parameters drawn from a seed and rounded: equal
     # baths, one bath swept while the other stays fixed, and a kappa sweep
     ("surface", "--c2", "0.3", "--c3", "-0.3", "--eta-a", "0.35", "--eta-b", "0.35",
      "--sweep-param", "beta", "--sweep-start", "2.5", "--sweep-stop", "12.5",
      "--sweep-count", "10", "--points", "300"):
-        "c1c687869d64e9cb1e0e1fde8af56f6d995516f79ee300836a1a7fa7470435ed",
+        "fd2d2e1e71a08cccb8fee472fab99002fd5553725c82cb5ee3fe77892f664f29",
     ("surface", "--c2", "0.55", "--c3", "-0.55", "--eta-a", "0.6", "--eta-b", "0.25",
      "--beta-a", "3", "--beta-b", "8", "--sweep-param", "eta_b", "--sweep-start", "0.1",
      "--sweep-stop", "0.55", "--sweep-count", "10", "--points", "300"):
-        "8141bf3458226a8a45ea89108195852ad117f5decccf6b467312d082b62c31f5",
+        "ccc83e5872d86e3ec8159fb6a0eb1e25a66167329d25c6900392c9534ba3c272",
     ("surface", "--c2", "0.45", "--c3", "-0.45", "--eta-a", "0.4", "--eta-b", "0.7",
      "--beta-a", "7.5", "--sweep-param", "kappa", "--sweep-start", "0.2",
      "--sweep-stop", "5", "--sweep-count", "10", "--points", "300"):
-        "a2dc2c0e7389d935fae8392b17d15984d1b4751e8d484f0021be90c364b91e8e",
+        "0c3f5731f1a65974905ab7d92cc874ed04e720379efeb0f9605064350215a449",
 }
 
 

@@ -10,7 +10,6 @@ from dephasing_discord import (
     ConsistencyError,
     DiscordPoint,
     NonPhysicalState,
-    QubitPair,
     Regime,
     Reservoir,
     SystemConfig,
@@ -79,16 +78,9 @@ def test_reservoir_accepts_zero_temperature():
     assert Reservoir(0.2, 1.0, math.inf).beta == math.inf
 
 
-def test_qubit_pair_rejects_negative_splitting():
-    with pytest.raises(Exception):
-        QubitPair(-1.0, 0.0)
-    QubitPair(0.0, 0.0)
-
-
 def test_system_config_validates_state():
     with pytest.raises(NonPhysicalState):
         SystemConfig(
-            qubits=QubitPair(0.0, 0.0),
             bath_a=Reservoir(0.2, 1.0, 5.0),
             bath_b=Reservoir(0.2, 1.0, 5.0),
             state=XStateParams(1.0, 1.0, 1.0),

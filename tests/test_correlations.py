@@ -12,7 +12,6 @@ from dephasing_discord import (
     ClassicalMethod,
     DomainError,
     MeasurementAngles,
-    QubitPair,
     Reservoir,
     SystemConfig,
     XStateParams,
@@ -31,10 +30,12 @@ from dephasing_discord.evolution import eigenvalues
 from dephasing_discord.correlations import _measurement_objective, _spectrum_2x2
 
 from conftest import (
+    PAULI,
     conditional_states,
     entropy_bits,
     measured_information,
     partial_trace,
+    splittings,
     system_configs,
     times,
 )
@@ -43,9 +44,8 @@ PLATEAU_04 = 0.11870910076930738  # binary_entropy_like(0.4), 53-bit value
 PLATEAU_02 = 0.02904940554533136
 
 
-def plateau_family_config(c3=-0.4, omega_a=0.0, omega_b=0.0):
+def plateau_family_config(c3=-0.4):
     return SystemConfig(
-        qubits=QubitPair(omega_a, omega_b),
         bath_a=Reservoir(0.2, 1.0, 5.0),
         bath_b=Reservoir(0.2, 1.0, 5.0),
         state=XStateParams(1.0, -c3, c3),
@@ -95,9 +95,11 @@ def test_conditional_state_pinned_matrices():
     m0, m1 = conditional_states(rho, math.pi / 4.0, 0.0)
     assert np.allclose(m0, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-15)
     assert np.allclose(m1, np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-15)
-    # polar measurement: diagonal with populations (1 -+ c3)/2
-    mz, _ = conditional_states(rho, 0.0, 0.0)
-    assert np.allclose(mz, np.diag([0.7, 0.3]), atol=1e-15)
+    # polar measurement: diagonal with populations (1 +- c3)/2 for outcome 0
+    # (B found in its first level) and (1 -+ c3)/2 for outcome 1
+    mz, mz1 = conditional_states(rho, 0.0, 0.0)
+    assert np.allclose(mz, np.diag([0.3, 0.7]), atol=1e-15)
+    assert np.allclose(mz1, np.diag([0.7, 0.3]), atol=1e-15)
     # array angles broadcast to one state pair per (theta, phi)
     grid = conditional_states(rho, np.array([[0.0], [math.pi / 4.0]]), np.zeros(3))
     assert grid.shape == (2, 2, 3, 2, 2)
@@ -244,11 +246,10 @@ def _dense_grid_classical(matrix, phi_offset=0.0):
     n = np.stack(np.broadcast_arrays(
         np.sin(2 * theta) * np.cos(phi), np.sin(2 * theta) * np.sin(phi),
         np.cos(2 * theta) + 0 * phi), axis=-1).reshape(-1, 3)
-    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     r = np.asarray(matrix).reshape(2, 2, 2, 2)
     conditional = 0.0
     for sign in (1.0, -1.0):
-        proj = 0.5 * (np.eye(2) + sign * np.einsum("gx,xbc->gbc", n, pauli))
+        proj = 0.5 * (np.eye(2) + sign * np.einsum("gx,xbc->gbc", n, PAULI))
         unnormalized = np.einsum("gcb,ibjc->gij", proj, r)
         p_k = np.trace(unnormalized, axis1=1, axis2=2).real
         lams = np.clip(np.linalg.eigvalsh(unnormalized / p_k[:, None, None]), 0.0, 1.0)
@@ -257,16 +258,16 @@ def _dense_grid_classical(matrix, phi_offset=0.0):
     return float(np.max(entropy_bits(np.linalg.eigvalsh(partial_trace(matrix, 0))) - conditional))
 
 
-@given(system_configs(), times)
+@given(system_configs(), times, splittings)
 @settings(max_examples=30, deadline=None)
-def test_classical_correlation_is_frame_independent(config, t):
+def test_classical_correlation_is_frame_independent(config, t, omegas):
     # The state is kept in the rotating frame.  The lab-frame state carries
     # the free phases on its coherences, the local unitary
     # diag(1, exp(-i omega_a t)) x diag(1, exp(-i omega_b t)), which moves no
     # correlation: on B it turns the azimuth of every measurement by omega_b*t.
     rho = evolve(config, t)
     rotating = rho.to_matrix()
-    omega_a, omega_b = config.qubits.omega_a, config.qubits.omega_b
+    omega_a, omega_b = omegas
     lab = rotating.astype(complex)
     lab[3, 0] *= np.exp(-1j * (omega_a + omega_b) * t)
     lab[2, 1] *= np.exp(1j * (omega_b - omega_a) * t)
