@@ -88,7 +88,9 @@ def _reject(bad, error: type[Exception], t, describe) -> None:
 def _nonfinite(value):
     """nan or infinite, elementwise; a plain bool for a float, which _reject
     then handles without numpy."""
-    return (value != value) | (abs(value) > sys.float_info.max)
+    if isinstance(value, np.ndarray):
+        return ~np.isfinite(value)
+    return value != value or abs(value) > sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,10 @@ class XDensityMatrix:
         t = self.t
         _reject(_nonfinite(t), DomainError, t, lambda i: "t must be finite")
         _reject(t < 0.0, DomainError, t, lambda i: f"t must be >= 0, got {_at(t, i)!r}")
+        for name in ("alpha", "gamma"):
+            value = getattr(self, name)
+            _reject(_nonfinite(value), DomainError, t,
+                    lambda i: f"{name} must be finite, got {_at(value, i)!r}")
         if abs(c3) > 1.0 + EIGENVALUE_TOL:
             raise NonPhysicalState(f"|c3| = {abs(c3)!r} exceeds 1")
         mod_alpha, mod_gamma = abs(self.alpha), abs(self.gamma)

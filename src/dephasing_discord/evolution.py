@@ -12,10 +12,12 @@ import numpy as np
 from .bath import GammaMethod, _times, gamma_closed, gamma_quadrature
 from .core import (
     EIGENVALUE_TOL,
+    DomainError,
     NonPhysicalState,
     SystemConfig,
     XDensityMatrix,
     _at,
+    _nonfinite,
     _plain,
     _reject,
 )
@@ -34,6 +36,9 @@ def _decohering_factor(reservoir, t, method: GammaMethod):
 
 
 def _assemble(config: SystemConfig, t, d_a, d_b) -> XDensityMatrix:
+    # a non-finite factor is named here, before it spoils both coherences
+    for name, d in (("d_a", d_a), ("d_b", d_b)):
+        _reject(_nonfinite(d), DomainError, t, lambda i: f"{name} must be finite, got {_at(d, i)!r}")
     state = config.state
     product = d_a * d_b
     return XDensityMatrix(

@@ -7,7 +7,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
@@ -141,6 +141,37 @@ def test_gamma_kernel_is_within_its_certified_bound_of_mpmath(grid):
     for i, s in enumerate(t.tolist()):
         reference = mpmath_gamma(reservoir, s)
         assert abs(out.gamma[i] - reference) <= out.est_error[i] + 1e-15 * max(1.0, reference)
+
+
+@given(
+    st.floats(0.05, 1.0),
+    st.floats(0.5, 2.0),
+    st.one_of(st.just(math.inf), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+    st.floats(0.0, 300.0),
+)
+@example(0.5, 1.0, 1e3, 0.05)
+@example(0.5, 1.0, 1e3, 0.2)
+@example(0.177, 1.105, 1e3, 0.5)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_quadrature_is_within_its_certified_error_of_mpmath(eta, omega_c, beta, t):
+    # derandomized: the 40-digit reference is exact, the draws are fixed.
+    # The examples put the thermal bump coth(beta*w/2) - 1, of width ~1/beta,
+    # far inside the first period-long panel, where both panel rules can miss
+    # it together and agree on a Gamma 3e-8 off
+    reservoir = Reservoir(eta, omega_c, beta)
+    quad = gamma_quadrature(reservoir, t)
+    reference = mpmath_gamma(reservoir, t)
+    assert quad.est_error <= 1e-9
+    assert abs(quad.gamma - reference) <= quad.est_error + 1e-13 * max(1.0, reference)
+
+
+def test_quadrature_names_the_time_of_a_panel_that_does_not_converge(monkeypatch):
+    # at t = 0.5 the one panel [0, 35.25] needs halving before its two rules agree
+    reservoir = Reservoir(0.6, 1.0, math.inf)
+    gamma_quadrature(reservoir, 0.5)
+    monkeypatch.setattr(bath, "_QUAD_MAX_DEPTH", 0)
+    with pytest.raises(QuadratureFailure, match=r"did not converge in 0 halvings .* at t = 0\.5$"):
+        gamma_quadrature(reservoir, 0.5)
 
 
 @given(reservoirs(), st.floats(0.0, 25.0, allow_nan=False), st.floats(1e-4, 5.0, allow_nan=False))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dephasing_discord import (
     ConsistencyError,
     DiscordPoint,
+    DomainError,
     NonPhysicalState,
     Regime,
     Reservoir,
@@ -108,6 +109,21 @@ def test_x_density_matrix_rejects_out_of_range_coherences():
         XDensityMatrix(c3=0.5, alpha=0.0, gamma=0.6, t=0.0)  # |gamma| > 1-c3
     with pytest.raises(Exception):
         XDensityMatrix(c3=0.0, alpha=0.0, gamma=0.0, t=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "gamma"])
+def test_x_density_matrix_rejects_a_nonfinite_coherence_naming_its_time(name, bad):
+    # a nan passes the bound checks, which are comparisons, and discord()
+    # would give I = nan and D = 0 for it
+    fields = {"c3": -0.4, "alpha": 0.5, "gamma": 1.0}
+    with pytest.raises(DomainError, match=rf"^{name} must be finite, got .* at t = 2\.5$"):
+        XDensityMatrix(**{**fields, name: bad}, t=2.5)
+    t = np.linspace(0.0, 3.0, 4)
+    column = np.full(4, fields[name])
+    column[2] = bad
+    with pytest.raises(DomainError, match=rf"^{name} must be finite, got .* at t = 2\.0$"):
+        XDensityMatrix(**{**fields, name: column}, t=t)
 
 
 def test_regime_labels():
