@@ -22,7 +22,6 @@ from .core import (
     SystemConfig,
     XDensityMatrix,
     XStateParams,
-    validate_state,
 )
 from .correlations import (
     ClassicalMethod,
@@ -38,7 +37,6 @@ from .correlations import (
 )
 from .dfe import (
     CriticalTime,
-    CriticalTimeMethod,
     critical_time_closed,
     critical_time_solve,
     scan_trajectory,
@@ -50,7 +48,6 @@ __all__ = [
     "ConsistencyError",
     "CorrelationBreakdown",
     "CriticalTime",
-    "CriticalTimeMethod",
     "DecoherenceEval",
     "DiscordPoint",
     "DomainError",
@@ -77,7 +74,6 @@ __all__ = [
     "gamma_quadrature",
     "mutual_information",
     "scan_trajectory",
-    "validate_state",
 ]
 
 __version__ = "0.1.0"

@@ -57,21 +57,15 @@ class GammaMethod(Enum):
     QUADRATURE = "quadrature"
 
 
-# Bound once: an Enum member lookup costs about as much as a whole T = 0
-# evaluation's arithmetic.
-_CLOSED_FORM = GammaMethod.CLOSED_FORM
-
-
 @dataclass(frozen=True)
 class DecoherenceEval:
-    """Result of one Gamma evaluation: exponent, factor, route, certified error bound.
+    """Result of one Gamma evaluation: exponent, factor, certified error bound.
 
     The numeric fields are floats, or arrays for an array of times.
     """
 
     gamma: float | np.ndarray
     d: float | np.ndarray
-    method: GammaMethod
     est_error: float | np.ndarray
 
 
@@ -240,19 +234,15 @@ def gamma_closed(reservoir: Reservoir, t) -> DecoherenceEval:
     est_error reports the certified truncation bound of the thermal series
     (zero at beta = inf, where the result is exact up to rounding).
     """
-    # A float (each step of the crossing solver's bisection) is tested first
-    # and takes plain math, so the array support costs it nothing.
-    if type(t) is float or not (isinstance(t, np.ndarray) and t.ndim):
-        t = float(t)
-        if not t >= 0.0:
-            raise DomainError(f"t must be >= 0, got {t!r}")
+    t = _times(t)
+    # A float (each step of the crossing solver's bisection) takes plain math.
+    if type(t) is float:
         x = reservoir.omega_c * t
         xsq = x * x
         # ln x once x^2 overflows; the two then differ by less than 1e-308
         gamma = 0.5 * math.log1p(xsq) if xsq != math.inf else math.log(x)
         exp, err = math.exp, 0.0
     else:
-        t = _times(t)
         x = reservoir.omega_c * t
         with np.errstate(over="ignore"):
             gamma = 0.5 * np.log1p(x * x)
@@ -264,7 +254,7 @@ def gamma_closed(reservoir: Reservoir, t) -> DecoherenceEval:
         gamma = gamma + series
         err = reservoir.eta * bound
     gamma = gamma * reservoir.eta
-    return DecoherenceEval(gamma, exp(-gamma), _CLOSED_FORM, err)
+    return DecoherenceEval(gamma, exp(-gamma), err)
 
 
 def gamma_quadrature(
@@ -284,11 +274,9 @@ def gamma_quadrature(
     knob exists only for consistency probes (run_verify injects 8 to
     demonstrate that the conventional factor is a x4 disagreement).
     """
-    t = float(t)
-    if not t >= 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    t = float(_times(t))
     if t == 0.0:
-        return DecoherenceEval(0.0, 1.0, GammaMethod.QUADRATURE, 0.0)
+        return DecoherenceEval(0.0, 1.0, 0.0)
     eta, omega_c, beta = reservoir.eta, reservoir.omega_c, reservoir.beta
     cutoff = omega_c * (35.0 + omega_c * t)
     period = min(2.0 * math.pi / t, cutoff)  # one panel when a period spans the cutoff
@@ -354,4 +342,4 @@ def gamma_quadrature(
             f"certified error {est!r} exceeds {QUAD_ERROR_LIMIT} for {reservoir} at t = {t}"
         )
     gamma = math.fsum(sums)
-    return DecoherenceEval(gamma, math.exp(-gamma), GammaMethod.QUADRATURE, est)
+    return DecoherenceEval(gamma, math.exp(-gamma), est)

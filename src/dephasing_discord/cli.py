@@ -105,11 +105,10 @@ _FIGURES = {
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A fully resolved run: physics configuration plus grid and method."""
+    """A fully resolved run: physics configuration plus time grid and method."""
 
     config: SystemConfig
-    t_max: float
-    points: int
+    t: np.ndarray
     method: RunMethod
     # surface: the swept parameter and one (value, config) case per value
     sweep: tuple[str, list[tuple[float, SystemConfig]]] | None = None
@@ -219,34 +218,27 @@ def _build_runspec(args: argparse.Namespace) -> RunSpec:
         if not (math.isfinite(start) and math.isfinite(stop)) or start <= 0 or stop <= 0:
             raise DomainError("sweep range must be positive and finite")
         values = np.linspace(start, stop, count).tolist()
-    points = int(settings["points"])
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points}")
-    t_max = float(settings["t_max"])
-    if not 0.0 < t_max < math.inf:
-        raise DomainError(f"t_max must be > 0 and finite, got {t_max}")
+    t = _time_grid(settings["t_max"], settings["points"])
     config = _build_config(settings)
     sweep = None
     if values is not None:
         param = args.sweep_param
         sweep = (param, [(v, _build_config(_sweep_settings(settings, param, v))) for v in values])
-    return RunSpec(config, t_max, points, RunMethod(settings["method"]), sweep)
+    return RunSpec(config, t, RunMethod(settings["method"]), sweep)
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _sweep_csv(
-    columns: tuple[str, ...], cases, t_max: float, points: int, method: RunMethod
-) -> str:
-    """One CSV row per grid point of each (column values, config) case in cases.
+def _sweep_csv(columns: tuple[str, ...], cases, t: np.ndarray, method: RunMethod) -> str:
+    """One CSV row per time of the grid t for each (column values, config)
+    case in cases.
 
     Each distinct reservoir's D(t) is computed once per call: equal baths,
     and the bath a sweep leaves fixed, share one curve.
     """
     classical_method, gamma_method = _METHODS[method]
-    t = _time_grid(t_max, points)
     curves: dict[Reservoir, np.ndarray] = {}
 
     def curve(reservoir: Reservoir) -> np.ndarray:
@@ -270,11 +262,9 @@ def _sweep_csv(
 def run_sweep(spec: RunSpec) -> str:
     """A curve, or with spec.sweep set a surface led by the swept value."""
     if spec.sweep is None:
-        return _sweep_csv((), [((), spec.config)], spec.t_max, spec.points, spec.method)
+        return _sweep_csv((), [((), spec.config)], spec.t, spec.method)
     param, cases = spec.sweep
-    return _sweep_csv(
-        (param,), (((v,), config) for v, config in cases), spec.t_max, spec.points, spec.method
-    )
+    return _sweep_csv((param,), (((v,), config) for v, config in cases), spec.t, spec.method)
 
 
 def run_critical_time(spec: RunSpec) -> str:
@@ -285,7 +275,7 @@ def run_critical_time(spec: RunSpec) -> str:
     row = ",".join(
         (
             _fmt(result.t_p),
-            result.method.value,
+            "bisection",
             _fmt(result.bracket[0]),
             _fmt(result.bracket[1]),
             _fmt(result.residual),
@@ -312,8 +302,7 @@ def run_figure(figure: str) -> str:
     return _sweep_csv(
         columns,
         ((prefix, _build_config({**_DEFAULTS, **overrides})) for prefix, overrides in cases),
-        float(_DEFAULTS["t_max"]),
-        int(_DEFAULTS["points"]),
+        _time_grid(_DEFAULTS["t_max"], _DEFAULTS["points"]),
         RunMethod(_DEFAULTS["method"]),
     )
 

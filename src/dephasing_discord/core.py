@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-# Eigenvalues more negative than this are treated as genuinely unphysical
-# rather than rounding noise.
+# A coherence modulus may pass its bound 1 +/- c3 by this much (an eigenvalue
+# down to -EIGENVALUE_TOL/4) as rounding noise; further out it is unphysical.
 EIGENVALUE_TOL = 1e-12
 
 # Mutual information may undershoot the classical correlation by at most this
@@ -98,8 +98,8 @@ class XStateParams:
     """Coefficients (c1, c2, c3) of a Bell-diagonal initial state.
 
     The state is rho(0) = (I + sum_j c_j sigma_j x sigma_j) / 4, which has
-    maximally mixed marginals.  Physicality is checked by validate_state,
-    not at construction, so that diagnostics can be exercised on bad input.
+    maximally mixed marginals.  Only finiteness is checked here; physicality
+    is checked once, by SystemConfig through XDensityMatrix.
     """
 
     c1: float
@@ -109,27 +109,6 @@ class XStateParams:
     def __post_init__(self):
         for name in ("c1", "c2", "c3"):
             _require_finite(name, getattr(self, name))
-
-    def initial_eigenvalues(self) -> tuple[float, float, float, float]:
-        """Spectrum of rho(0): (1 + c3 -/+ |c1 - c2|)/4 and (1 - c3 -/+ |c1 + c2|)/4."""
-        a = abs(self.c1 - self.c2)
-        g = abs(self.c1 + self.c2)
-        return (
-            (1.0 + self.c3 - a) / 4.0,
-            (1.0 + self.c3 + a) / 4.0,
-            (1.0 - self.c3 - g) / 4.0,
-            (1.0 - self.c3 + g) / 4.0,
-        )
-
-
-def validate_state(params: XStateParams) -> None:
-    """Raise NonPhysicalState if rho(0) has an eigenvalue below -EIGENVALUE_TOL."""
-    lams = params.initial_eigenvalues()
-    worst = min(lams)
-    if worst < -EIGENVALUE_TOL:
-        raise NonPhysicalState(
-            f"state {params} is not positive semidefinite: eigenvalue {worst!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -161,6 +140,10 @@ class SystemConfig:
 
     The qubits' level splittings are not part of it: they rotate coherence
     phases only, a local unitary that moves no correlation.
+
+    The state is checked by building its t = 0 XDensityMatrix.  Evolution
+    only scales both coherences by D_A*D_B <= 1, so no later state of a
+    valid configuration can fail that check.
     """
 
     bath_a: Reservoir
@@ -168,7 +151,8 @@ class SystemConfig:
     state: XStateParams
 
     def __post_init__(self):
-        validate_state(self.state)
+        s = self.state
+        XDensityMatrix(s.c3, s.c1 - s.c2, s.c1 + s.c2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -184,6 +168,9 @@ class XDensityMatrix:
     alpha, gamma and t are floats for one state, or equal-length 1-D arrays
     for a column of states along a time grid; the functions of the state in
     evolution and correlations then return arrays.
+
+    Construction is the package's one physical-state check: |alpha| <= 1 + c3
+    and |gamma| <= 1 - c3 within EIGENVALUE_TOL, else NonPhysicalState.
     """
 
     c3: float

@@ -27,9 +27,15 @@ from .evolution import eigenvalues
 
 _LN2 = math.log(2.0)
 _DOMAIN_SLACK = 1e-9
-_MIN_THETA_POINTS = 91
-_MIN_PHI_POINTS = 181
-_QUARTER_TURNS = (0.5 * math.pi, math.pi, 1.5 * math.pi)
+# The angle search grid: 91 even steps of theta over [0, pi/2] by 181 of phi
+# over [0, 2*pi).  The optimum of an X state lies at phi = 0 or pi/2 (mod pi),
+# which 181 steps miss: the quarter turns join the grid (91 x 184).  np.sort,
+# not np.union1d, which would load numpy.ma into every command.
+_THETA_STEP = 0.5 * math.pi / 90
+_PHI_STEP = 2.0 * math.pi / 181
+_THETAS = np.linspace(0.0, 0.5 * math.pi, 91)
+_PHIS = np.sort(np.concatenate((np.linspace(0.0, 2.0 * math.pi, 181, endpoint=False),
+                                (0.5 * math.pi, math.pi, 1.5 * math.pi))))
 _REFINE_TOL = 1e-10
 _SECTION_POINTS = 65
 
@@ -158,52 +164,39 @@ def _multisection_max(fun, lo: float, hi: float, best_x: float, best_f: float):
     return best_x, best_f
 
 
-def classical_bruteforce(
-    rho: XDensityMatrix,
-    n_theta: int = _MIN_THETA_POINTS,
-    n_phi: int = _MIN_PHI_POINTS,
-    refine: bool = True,
-) -> tuple[float, MeasurementAngles]:
-    """Classical correlation by direct search over measurement angles.
-
-    Maximizes 1 - sum_k (1/2) S(rho_A|k(theta, phi)) on a theta x phi grid:
-    n_theta even steps of theta over [0, pi/2] by n_phi even steps of phi plus
-    the quarter turns pi/2, pi, 3pi/2 (91 x 184 by default).  The conditional
-    spectra are the closed form of a generic Hermitian 2x2 matrix.  The grid
-    argmax is then sharpened by multisection over one grid step either side,
-    first in theta, then in phi, to _REFINE_TOL; the value never drops below
-    the grid maximum.  Ties resolve to the smallest theta, then smallest phi.
-    """
-    if n_theta < _MIN_THETA_POINTS or n_phi < _MIN_PHI_POINTS:
-        raise DomainError(
-            f"grid must be at least {_MIN_THETA_POINTS} x {_MIN_PHI_POINTS},"
-            f" got {n_theta} x {n_phi}"
-        )
-    c3, alpha, gamma = rho.c3, rho.alpha, rho.gamma
-    thetas = np.linspace(0.0, 0.5 * math.pi, n_theta)
-    # The optimum of an X state lies at phi = 0 or pi/2 (mod pi), which n_phi
-    # steps miss unless 4 divides n_phi: the quarter turns join the grid.
-    phis = np.union1d(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False), _QUARTER_TURNS)
-    objective = _measurement_objective(c3, alpha, gamma, thetas[:, None], phis)
+def _grid_max(rho: XDensityMatrix) -> tuple[float, MeasurementAngles]:
+    """The largest objective on the angle grid and where it lies; ties
+    resolve to the smallest theta, then the smallest phi."""
+    objective = _measurement_objective(rho.c3, rho.alpha, rho.gamma, _THETAS[:, None], _PHIS)
     flat_index = int(np.argmax(objective))  # row-major: smallest theta, then phi
     i_theta, i_phi = np.unravel_index(flat_index, objective.shape)
-    best_value = float(objective[i_theta, i_phi])
-    best_theta = float(thetas[i_theta])
-    best_phi = float(phis[i_phi])
-    if refine:
-        step_theta = 0.5 * math.pi / (n_theta - 1)
-        step_phi = 2.0 * math.pi / n_phi
-        best_theta, best_value = _multisection_max(
-            lambda u: _measurement_objective(c3, alpha, gamma, u, best_phi),
-            max(0.0, best_theta - step_theta), min(0.5 * math.pi, best_theta + step_theta),
-            best_theta, best_value,
-        )
-        best_phi, best_value = _multisection_max(
-            lambda u: _measurement_objective(c3, alpha, gamma, best_theta, u),
-            best_phi - step_phi, best_phi + step_phi, best_phi, best_value,
-        )
-        # twice: a tiny negative azimuth first rounds up to 2*pi itself
-        best_phi = best_phi % (2.0 * math.pi) % (2.0 * math.pi)
+    return float(objective[i_theta, i_phi]), MeasurementAngles(
+        float(_THETAS[i_theta]), float(_PHIS[i_phi])
+    )
+
+
+def classical_bruteforce(rho: XDensityMatrix) -> tuple[float, MeasurementAngles]:
+    """Classical correlation by direct search over measurement angles.
+
+    Maximizes 1 - sum_k (1/2) S(rho_A|k(theta, phi)) on the 91 x 184 theta x
+    phi grid of _grid_max.  The conditional spectra are the closed form of a
+    generic Hermitian 2x2 matrix.  The grid argmax is then sharpened by
+    multisection over one grid step either side, first in theta, then in
+    phi, to _REFINE_TOL; the value never drops below the grid maximum.
+    """
+    c3, alpha, gamma = rho.c3, rho.alpha, rho.gamma
+    best_value, at = _grid_max(rho)
+    best_theta, best_value = _multisection_max(
+        lambda u: _measurement_objective(c3, alpha, gamma, u, at.phi),
+        max(0.0, at.theta - _THETA_STEP), min(0.5 * math.pi, at.theta + _THETA_STEP),
+        at.theta, best_value,
+    )
+    best_phi, best_value = _multisection_max(
+        lambda u: _measurement_objective(c3, alpha, gamma, best_theta, u),
+        at.phi - _PHI_STEP, at.phi + _PHI_STEP, at.phi, best_value,
+    )
+    # twice: a tiny negative azimuth first rounds up to 2*pi itself
+    best_phi = best_phi % (2.0 * math.pi) % (2.0 * math.pi)
     return best_value, MeasurementAngles(best_theta, best_phi)
 
 
@@ -239,11 +232,9 @@ def discord(
 
 
 def discord_plateau(c3: float) -> float:
-    """Constant discord held while the optimum stays on the coherence branch."""
-    c3 = float(c3)
-    if abs(c3) > 1.0 + _DOMAIN_SLACK:
-        raise DomainError(f"|c3| must be <= 1, got {c3!r}")
-    return binary_entropy_like(min(abs(c3), 1.0))
+    """Constant discord f(|c3|) held while the optimum stays on the coherence
+    branch; DomainError for |c3| > 1 beyond the slack of binary_entropy_like."""
+    return binary_entropy_like(abs(c3))
 
 
 def discord_decay(d_product: float) -> float:

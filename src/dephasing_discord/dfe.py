@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,16 +33,12 @@ _BRACKET_WIDTH = 1e-12
 _BRACKET_CAP_EXPONENT = 20
 
 
-class CriticalTimeMethod(Enum):
-    BISECTION = "bisection"
-
-
 @dataclass(frozen=True)
 class CriticalTime:
-    """Crossing time of m*D_A*D_B through |c3|, with solver diagnostics."""
+    """Crossing time of m*D_A*D_B through |c3|, with the final bisection
+    bracket and the residual m*D_A*D_B - |c3| at t_p."""
 
     t_p: float
-    method: CriticalTimeMethod
     bracket: tuple[float, float]
     residual: float
 
@@ -106,7 +101,7 @@ def critical_time_solve(config: SystemConfig) -> CriticalTime | None:
         else:
             t_hi = mid
     t_p = 0.5 * (t_lo + t_hi)
-    return CriticalTime(t_p, CriticalTimeMethod.BISECTION, (t_lo, t_hi), gap(t_p))
+    return CriticalTime(t_p, (t_lo, t_hi), gap(t_p))
 
 
 def _time_grid(t_max: float, n_points: int) -> np.ndarray:

@@ -11,9 +11,7 @@ import numpy as np
 
 from .bath import GammaMethod, _times, gamma_closed, gamma_quadrature
 from .core import (
-    EIGENVALUE_TOL,
     DomainError,
-    NonPhysicalState,
     SystemConfig,
     XDensityMatrix,
     _at,
@@ -64,9 +62,9 @@ def eigenvalues(rho: XDensityMatrix) -> tuple:
     """Spectrum of the X state, clamped to [0, 1].
 
     The two antidiagonal blocks diagonalize independently:
-    (1 + c3 -/+ |alpha|)/4 and (1 - c3 -/+ |gamma|)/4.  A value below
-    -EIGENVALUE_TOL raises NonPhysicalState instead of being clamped.
-    Floats for one state, arrays for a column.
+    (1 + c3 -/+ |alpha|)/4 and (1 - c3 -/+ |gamma|)/4.  The XDensityMatrix
+    bounds put each at or above -EIGENVALUE_TOL/4, so the clamp only removes
+    rounding.  Floats for one state, arrays for a column.
     """
     mod_alpha = abs(rho.alpha)
     mod_gamma = abs(rho.gamma)
@@ -76,7 +74,4 @@ def eigenvalues(rho: XDensityMatrix) -> tuple:
         (1.0 - rho.c3 - mod_gamma) / 4.0,
         (1.0 - rho.c3 + mod_gamma) / 4.0,
     )
-    worst = np.min(raw, axis=0)
-    _reject(worst < -EIGENVALUE_TOL, NonPhysicalState, rho.t,
-            lambda i: f"eigenvalue {_at(worst, i)!r} below -{EIGENVALUE_TOL}")
     return tuple(_plain(np.clip(lam, 0.0, 1.0)) for lam in raw)

@@ -27,6 +27,7 @@ from dephasing_discord import (
     scan_trajectory,
 )
 from dephasing_discord.cli import run_figure, run_sweep, _build_runspec, _make_parser
+from dephasing_discord.correlations import _grid_max
 
 PLATEAU = 0.11870910076930738  # binary entropy kernel at 0.4, full precision
 T_P_ZERO_T = 9.831391051117842  # sqrt(0.4**-5 - 1)
@@ -116,7 +117,7 @@ def test_criterion_04_measurement_optimization_oracle():
         )
         rho = evolve(config, float(rng.uniform(0.0, 10.0)))
         closed, _ = classical_closed(rho)
-        grid, _ = classical_bruteforce(rho, refine=False)
+        grid, _ = _grid_max(rho)
         refined, _ = classical_bruteforce(rho)
         worst_grid = max(worst_grid, abs(grid - closed))
         worst_refined = max(worst_refined, abs(refined - closed))

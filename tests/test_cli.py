@@ -35,6 +35,15 @@ def spec_for(argv):
     return _build_runspec(parse_args(argv))
 
 
+def run_python(*argv):
+    """A fresh interpreter that imports the package under test."""
+    src = str(Path(dephasing_discord.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
 def rows(csv_text):
     lines = csv_text.strip().split("\n")
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -80,7 +89,7 @@ def test_defaults_match_documented_values():
     assert spec.config.bath_b.beta == 5.0
     state = spec.config.state
     assert (state.c1, state.c2, state.c3) == (1.0, 0.4, -0.4)
-    assert spec.t_max == 30.0 and spec.points == 300
+    assert spec.t.tolist() == np.linspace(0.0, 30.0, 300).tolist()
     assert spec.method.value == "closed"
 
 
@@ -135,6 +144,12 @@ def test_invalid_physics_exits_2(capsys):
     assert main(["curve", "--points", "1"]) == 2
     assert main(["curve", "--c1", "1", "--c2", "1", "--c3", "1"]) == 2
     assert main(["curve", "--eta-a", "-0.5"]) == 2
+    # an initial eigenvalue of -7.5e-13: outside the physical-state rule,
+    # which every command applies before computing
+    for state in (["--c1", "1", "--c2=-3e-12", "--c3", "0"],
+                  ["--c1", "0.5", "--c2", "0.5", "--c3", "3e-12"]):
+        for command in ("curve", "surface", "critical-time"):
+            assert main([command, *state]) == 2
     capsys.readouterr()
 
 
@@ -432,10 +447,15 @@ def test_no_command_imports_scipy():
         assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
         print(digest)
     """)
-    src = str(Path(dephasing_discord.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=300)
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == GOLDEN[("verify",)]
+
+
+def test_reproduce_figures_script_writes_the_preset_bytes(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    done = run_python(str(script), "--only", "fig3", "--outdir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count(" t_p = ") == 9
+    digest = hashlib.sha256((tmp_path / "fig3.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN[("figure", "fig3")]

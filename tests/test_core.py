@@ -1,4 +1,5 @@
-"""Value-object construction, validation, and closed-form initial spectra."""
+"""Value-object construction and validation, physical-state rule included,
+and the closed-form spectrum of the initial state."""
 import math
 
 import numpy as np
@@ -16,8 +17,9 @@ from dephasing_discord import (
     SystemConfig,
     XDensityMatrix,
     XStateParams,
-    validate_state,
+    evolve,
 )
+from dephasing_discord.evolution import eigenvalues
 
 from conftest import assert_density_matrix, valid_states
 
@@ -32,37 +34,49 @@ def initial_matrix(params):
     return m / 4.0
 
 
+def config_with(params):
+    return SystemConfig(Reservoir(0.2, 1.0, 5.0), Reservoir(0.2, 1.0, 5.0), params)
+
+
 @given(valid_states())
 def test_initial_eigenvalues_match_numerical_spectrum(params):
-    closed = np.sort(params.initial_eigenvalues())
+    # the t = 0 state's closed-form spectrum against eigvalsh of the matrix
+    # built straight from (c1, c2, c3)
+    closed = np.sort(eigenvalues(evolve(config_with(params), 0.0)))
     numeric = np.sort(np.linalg.eigvalsh(initial_matrix(params)))
     assert np.max(np.abs(closed - numeric)) <= 1e-12
 
 
 @given(valid_states())
 def test_sampled_states_pass_validation(params):
-    validate_state(params)
+    config_with(params)
 
 
 def test_validate_state_rejects_negative_spectrum():
     # (1, 1, 1) has |c1+c2| = 2 > 1 - c3 = 0: eigenvalue -1/2.
     with pytest.raises(NonPhysicalState):
-        validate_state(XStateParams(1.0, 1.0, 1.0))
+        config_with(XStateParams(1.0, 1.0, 1.0))
     with pytest.raises(NonPhysicalState):
-        validate_state(XStateParams(1.0, 0.4, 0.0))
+        config_with(XStateParams(1.0, 0.4, 0.0))
+    # eigenvalue -7.5e-13: within the -1e-12 that once passed validation,
+    # outside the coherence bound that every evolved state must meet
+    with pytest.raises(NonPhysicalState):
+        config_with(XStateParams(1.0, -3e-12, 0.0))
+    with pytest.raises(NonPhysicalState):
+        config_with(XStateParams(0.5, 0.5, 3e-12))
 
 
 def test_validate_state_accepts_bell_state():
     # (1, 1, -1) is the Bell state (|ge> + |eg>)/sqrt(2): spectrum {1, 0, 0, 0}.
     params = XStateParams(1.0, 1.0, -1.0)
-    validate_state(params)
+    config_with(params)
     numeric = np.sort(np.linalg.eigvalsh(initial_matrix(params)))
     assert np.max(np.abs(numeric - np.array([0.0, 0.0, 0.0, 1.0]))) <= 1e-12
 
 
 def test_validate_state_accepts_maximally_mixed_and_plateau_family():
-    validate_state(XStateParams(0.0, 0.0, 0.0))
-    validate_state(XStateParams(1.0, 0.4, -0.4))
+    config_with(XStateParams(0.0, 0.0, 0.0))
+    config_with(XStateParams(1.0, 0.4, -0.4))
 
 
 @pytest.mark.parametrize(
@@ -86,6 +100,8 @@ def test_system_config_validates_state():
             bath_b=Reservoir(0.2, 1.0, 5.0),
             state=XStateParams(1.0, 1.0, 1.0),
         )
+    # XStateParams itself checks finiteness only
+    XStateParams(1.0, 1.0, 1.0)
 
 
 def test_x_density_matrix_shape_and_invariants():
@@ -109,6 +125,12 @@ def test_x_density_matrix_rejects_out_of_range_coherences():
         XDensityMatrix(c3=0.5, alpha=0.0, gamma=0.6, t=0.0)  # |gamma| > 1-c3
     with pytest.raises(Exception):
         XDensityMatrix(c3=0.0, alpha=0.0, gamma=0.0, t=-1.0)
+
+
+def test_x_density_matrix_rejects_unnormalizable_coherence():
+    # |alpha| = 1 + c3 + 1e-10 would give the eigenvalue -2.5e-11
+    with pytest.raises(NonPhysicalState):
+        XDensityMatrix(c3=-0.4, alpha=0.6 + 1e-10, gamma=1.4, t=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -27,7 +27,7 @@ from dephasing_discord import (
 )
 from dephasing_discord.evolution import eigenvalues
 
-from dephasing_discord.correlations import _measurement_objective, _spectrum_2x2
+from dephasing_discord.correlations import _grid_max, _measurement_objective, _spectrum_2x2
 
 from conftest import (
     PAULI,
@@ -187,7 +187,7 @@ def test_grid_objective_matches_the_eigvalsh_oracle(config, t):
 @settings(max_examples=60, deadline=None)
 def test_refinement_stays_within_one_step_of_the_grid_argmax(config, t):
     rho = evolve(config, t)
-    grid, at = classical_bruteforce(rho, refine=False)
+    grid, at = _grid_max(rho)
     refined, angles = classical_bruteforce(rho)
     thetas, phis = _library_grid()
     objective = measured_information(rho, thetas[:, None], phis)
@@ -225,7 +225,7 @@ def test_classical_closed_reference_points():
 def test_bruteforce_matches_closed_classical(config, t):
     rho = evolve(config, t)
     closed, _ = classical_closed(rho)
-    grid, _ = classical_bruteforce(rho, refine=False)
+    grid, _ = _grid_max(rho)
     refined, angles = classical_bruteforce(rho)
     assert grid <= closed + 1e-9
     assert grid >= closed - 1e-4
@@ -281,16 +281,8 @@ def test_classical_correlation_is_frame_independent(config, t, omegas):
     assert mutual_information(rho) == pytest.approx(2.0 - entropy_bits(spectrum), abs=1e-10)
     grid = _dense_grid_classical(rotating)
     assert _dense_grid_classical(lab, -omega_b * t) == pytest.approx(grid, abs=1e-10)
-    assert classical_bruteforce(rho, refine=False)[0] == pytest.approx(grid, abs=1e-10)
+    assert _grid_max(rho)[0] == pytest.approx(grid, abs=1e-10)
     assert grid <= classical_closed(rho)[0] + 1e-9
-
-
-def test_bruteforce_enforces_minimum_grid():
-    rho = evolve(plateau_family_config(), 1.0)
-    with pytest.raises(DomainError):
-        classical_bruteforce(rho, n_theta=45)
-    with pytest.raises(DomainError):
-        classical_bruteforce(rho, n_phi=90)
 
 
 @given(system_configs(), times)

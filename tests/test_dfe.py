@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dephasing_discord import (
     ConsistencyError,
-    CriticalTimeMethod,
     DomainError,
     NonPhysicalState,
     NoRootInRange,
@@ -67,7 +66,6 @@ def test_closed_form_domain():
 
 def test_bisection_matches_zero_temperature_closed_form():
     result = critical_time_solve(equal_bath_config())
-    assert result.method is CriticalTimeMethod.BISECTION
     assert result.t_p == pytest.approx(T_P_REFERENCE, rel=1e-9)
     assert result.bracket[0] <= result.t_p <= result.bracket[1]
     assert result.bracket[1] - result.bracket[0] <= 1e-11

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephasing_discord import (
@@ -23,6 +23,7 @@ from conftest import (
     assert_density_matrix,
     element_decay,
     partial_trace,
+    reservoirs,
     splittings,
     system_configs,
     times,
@@ -108,6 +109,10 @@ def test_evolved_state_is_a_density_matrix_with_mixed_marginals(config, t):
 
 
 @given(system_configs(), times)
+@example(SystemConfig(Reservoir(0.2, 1.0, 5.0), Reservoir(0.6, 2.0, math.inf),
+                      XStateParams(0.3, -0.5, 0.1)), 0.0)
+@example(SystemConfig(Reservoir(0.2, 1.0, 5.0), Reservoir(0.2, 1.0, 5.0),
+                      XStateParams(1.0, 1.0, -1.0)), 0.0)
 @settings(max_examples=150, deadline=None)
 def test_closed_form_eigenvalues_match_dense_solver(config, t):
     rho = evolve(config, t)
@@ -125,9 +130,33 @@ def test_eigenvalue_examples():
     assert eigenvalues(mixed) == pytest.approx([0.25, 0.25, 0.25, 0.25], abs=1e-15)
 
 
-def test_eigenvalues_reject_unnormalizable_coherence():
-    with pytest.raises(NonPhysicalState):
-        eigenvalues(XDensityMatrix(c3=-0.4, alpha=0.6 + 1e-10, gamma=1.4, t=0.0))
+@st.composite
+def near_edge_states(draw):
+    """(c1, c2, c3) within 1e-11 of the edge of the physical region, on
+    either side, where rounding decides whether a state is valid."""
+    def near(bound):
+        return draw(st.sampled_from((-1.0, 1.0))) * bound + draw(st.floats(-1e-11, 1e-11))
+
+    c3 = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from((-1.0, 0.0, 1.0))))
+    c3 += draw(st.floats(-1e-11, 1e-11))
+    a, g = near(1.0 + c3), near(1.0 - c3)
+    return XStateParams((a + g) / 2.0, (g - a) / 2.0, c3)
+
+
+@given(near_edge_states(), reservoirs(), st.floats(0.1, 30.0))
+@example(XStateParams(1.0, -3e-12, 0.0), Reservoir(0.6, 1.0, 5.0), 30.0)
+@example(XStateParams(0.5, 0.5, 3e-12), Reservoir(0.6, 1.0, 5.0), 30.0)
+@settings(max_examples=200, deadline=None)
+def test_every_valid_configuration_evolves_to_physical_states(state, reservoir, t_max):
+    # one rule decides validity: a configuration that constructs never
+    # meets NonPhysicalState later, at t = 0 or anywhere on a grid
+    try:
+        config = SystemConfig(reservoir, reservoir, state)
+    except NonPhysicalState:
+        return
+    for t in (0.0, np.linspace(0.0, t_max, 16)):
+        spectrum = np.array(eigenvalues(evolve(config, t)))
+        assert np.all(spectrum >= 0.0)
 
 
 def test_diagonal_elements_are_constant_and_zero_coherences_stay_zero():
