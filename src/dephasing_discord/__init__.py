@@ -31,7 +31,6 @@ from .correlations import (
     classical_bruteforce,
     classical_closed,
     discord,
-    discord_decay,
     discord_plateau,
     mutual_information,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "critical_time_closed",
     "critical_time_solve",
     "discord",
-    "discord_decay",
     "discord_plateau",
     "evolve",
     "gamma_closed",

@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,10 @@ from .dfe import (
 from .evolution import _decohering_factor, evolve
 
 _CSV_HEADER = ("t", "d_a", "d_b", "mutual_info", "classical", "discord", "regime")
-# One data row after the prefix columns; .17g as in _fmt.
-_ROW = "{:.17g}," * (len(_CSV_HEADER) - 1) + "{}"
+# The mutual_info, classical, discord and regime fields of a data row.
+_ROW = "%.17g," * 3 + "%s"
+# A column pass over the cases of one state stays below this many rows.
+_PASS_ROWS = 2**14
 _REGIME_LABEL = {True: Regime.DFE.value, False: Regime.DECAY.value}
 _VERIFY_SEED = 20120705
 _SWEEP_PARAMS = ("beta", "beta_a", "beta_b", "eta", "eta_a", "eta_b", "kappa")
@@ -227,36 +230,73 @@ def _build_runspec(args: argparse.Namespace) -> RunSpec:
     return RunSpec(config, t, RunMethod(settings["method"]), sweep)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _lines(values: np.ndarray) -> str:
+    """A column as text, one %.17g value per line."""
+    return "\n".join(repeat("%.17g", values.size)) % tuple(values.tolist())
 
 
 def _sweep_csv(columns: tuple[str, ...], cases, t: np.ndarray, method: RunMethod) -> str:
     """One CSV row per time of the grid t for each (column values, config)
-    case in cases.
-
-    Each distinct reservoir's D(t) is computed once per call: equal baths,
-    and the bath a sweep leaves fixed, share one curve.
+    case in cases.  Work the cases share is done once: one thermal series per
+    (omega_c, beta), since gamma_closed multiplies by eta last; one D(t) per
+    reservoir; with several cases, the text of t and of each D; one column
+    pass per run of cases with one initial state, below _PASS_ROWS rows
+    unless one case is longer.
     """
     classical_method, gamma_method = _METHODS[method]
-    curves: dict[Reservoir, np.ndarray] = {}
+    cases = list(cases)
+    shared = len(cases) > 1  # text pays only when cases share t and D: a lone case formats in place
+    per_eta: dict[tuple[float, float], np.ndarray] = {}
+    curves: dict[Reservoir, tuple[np.ndarray, str | None]] = {}
 
-    def curve(reservoir: Reservoir) -> np.ndarray:
+    def curve(reservoir: Reservoir) -> tuple[np.ndarray, str | None]:
         if reservoir not in curves:
-            curves[reservoir] = _decohering_factor(reservoir, t, gamma_method)
+            if gamma_method is GammaMethod.QUADRATURE:
+                d = _decohering_factor(reservoir, t, gamma_method)
+            else:
+                key = (reservoir.omega_c, reservoir.beta)
+                if key not in per_eta:
+                    per_eta[key] = gamma_closed(Reservoir(1.0, *key), t).gamma
+                d = np.exp(-(per_eta[key] * reservoir.eta))
+            # one string, split per case: a list of strings per curve raises a figure's peak memory
+            curves[reservoir] = d, _lines(d) if shared else None
         return curves[reservoir]
 
-    # One string per case, not per row: a figure's rows are then never all
-    # alive as separate objects.
+    def fields(values: np.ndarray, text: str | None) -> list:
+        return text.split("\n") if shared else values.tolist()
+
+    n, t_text = t.size, _lines(t) if shared else None
+    lead = ("%s," if shared else "%.17g,") * 3  # t, d_a and d_b
+    # One string per case: a figure's rows never all live as separate objects.
     blocks = [",".join((*columns, *_CSV_HEADER))]
-    for prefix, config in cases:
-        row = "".join(_fmt(v) + "," for v in prefix) + _ROW
-        *values, dfe = _trajectory_columns(
-            config, t, curve(config.bath_a), curve(config.bath_b), classical_method
-        )
-        regimes = [_REGIME_LABEL[flag] for flag in dfe.tolist()]
-        blocks.append("\n".join(map(row.format, *(v.tolist() for v in values), regimes)))
-    return "\n".join(blocks) + "\n"
+    per_pass = max(1, (_PASS_ROWS - 1) // n)
+    for _, group in groupby(cases, lambda case: case[1].state):
+        group = list(group)
+        for start in range(0, len(group), per_pass):
+            batch = group[start : start + per_pass]
+            try:
+                d = [(curve(c.bath_a)[0], curve(c.bath_b)[0]) for _, c in batch]
+                info, classical, disc, dfe = _trajectory_columns(
+                    batch[0][1], np.tile(t, len(batch)), np.concatenate([a for a, _ in d]),
+                    np.concatenate([b for _, b in d]), classical_method,
+                )[3:]
+            except Exception:
+                # Case by case, in order, raises what a loop over the cases would.
+                for _, c in batch:
+                    d_a, d_b = curve(c.bath_a)[0], curve(c.bath_b)[0]
+                    _trajectory_columns(c, t, d_a, d_b, classical_method)
+                raise
+            for j, (prefix, config) in enumerate(batch):
+                rows = slice(j * n, (j + 1) * n)
+                row_fields = zip(
+                    fields(t, t_text), fields(*curve(config.bath_a)), fields(*curve(config.bath_b)),
+                    info[rows].tolist(), classical[rows].tolist(), disc[rows].tolist(),
+                    map(_REGIME_LABEL.get, dfe[rows].tolist()),
+                )
+                row = "%.17g," * len(prefix) % prefix + lead + _ROW
+                blocks.append("\n".join(repeat(row, n)) % tuple(chain.from_iterable(row_fields)))
+    blocks.append("")  # the final newline, without a second copy of the text
+    return "\n".join(blocks)
 
 
 def run_sweep(spec: RunSpec) -> str:
@@ -272,15 +312,7 @@ def run_critical_time(spec: RunSpec) -> str:
     result = critical_time_solve(spec.config)
     if result is None:
         return header + "\n,none,,,\n"
-    row = ",".join(
-        (
-            _fmt(result.t_p),
-            "bisection",
-            _fmt(result.bracket[0]),
-            _fmt(result.bracket[1]),
-            _fmt(result.residual),
-        )
-    )
+    row = "%.17g,bisection,%.17g,%.17g,%.17g" % (result.t_p, *result.bracket, result.residual)
     return header + "\n" + row + "\n"
 
 

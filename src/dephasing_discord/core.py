@@ -195,21 +195,6 @@ class XDensityMatrix:
         _reject(mod_gamma > 1.0 - c3 + EIGENVALUE_TOL, NonPhysicalState, t,
                 lambda i: f"|gamma| = {_at(mod_gamma, i)!r} exceeds 1 - c3 = {1.0 - c3!r}")
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense real 4x4 rotating-frame matrix in the product basis (gg, ge, eg, ee).
-
-        Defined for a single state.
-        """
-        c3, al, ga = self.c3, self.alpha, self.gamma
-        return 0.25 * np.array(
-            [
-                [1.0 + c3, 0.0, 0.0, al],
-                [0.0, 1.0 - c3, ga, 0.0],
-                [0.0, ga, 1.0 - c3, 0.0],
-                [al, 0.0, 0.0, 1.0 + c3],
-            ]
-        )
-
 
 def _check_samples(t, d_a, d_b, mutual_info, classical, discord) -> None:
     """The invariants of a DiscordPoint, for one sample or for columns."""

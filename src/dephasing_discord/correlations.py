@@ -63,14 +63,12 @@ class MeasurementAngles:
 class CorrelationBreakdown:
     """Mutual information split into classical correlation and discord.
 
-    Floats for one state, arrays (and a list of angles) for a column.
+    Floats for one state, arrays for a column.
     """
 
     mutual_info: float | np.ndarray
     classical: float | np.ndarray
     discord: float | np.ndarray
-    chi: float | np.ndarray
-    optimal_angles: MeasurementAngles | list[MeasurementAngles] | None
 
 
 def binary_entropy_like(x):
@@ -207,42 +205,25 @@ def discord(
     """Mutual information minus classical correlation, clamped at zero.
 
     A deficit beyond DISCORD_CLAMP_TOL is treated as an internal inconsistency
-    rather than clamped away.  For a column of states the fields are arrays,
-    and optimal_angles is a list with one entry per state.
+    rather than clamped away.  For a column of states the fields are arrays.
     """
     info = mutual_information(rho)
-    classical, chi = classical_closed(rho)
-    angles = None
+    classical, _ = classical_closed(rho)
     if method is ClassicalMethod.BRUTEFORCE:
         if np.ndim(rho.t):
-            found = [
-                classical_bruteforce(XDensityMatrix(rho.c3, a, g, t))
+            classical = np.array([
+                classical_bruteforce(XDensityMatrix(rho.c3, a, g, t))[0]
                 for a, g, t in zip(rho.alpha.tolist(), rho.gamma.tolist(), rho.t.tolist())
-            ]
-            classical = np.array([value for value, _ in found])
-            angles = [best for _, best in found]
+            ])
         else:
-            classical, angles = classical_bruteforce(rho)
+            classical, _ = classical_bruteforce(rho)
     value = info - classical
     _reject(value < -DISCORD_CLAMP_TOL, ConsistencyError, rho.t,
             lambda i: f"discord = {_at(value, i)!r} below -{DISCORD_CLAMP_TOL}; paths disagree")
-    return CorrelationBreakdown(
-        info, classical, _plain(np.where(value > 0.0, value, 0.0)), chi, angles
-    )
+    return CorrelationBreakdown(info, classical, _plain(np.where(value > 0.0, value, 0.0)))
 
 
 def discord_plateau(c3: float) -> float:
     """Constant discord f(|c3|) held while the optimum stays on the coherence
     branch; DomainError for |c3| > 1 beyond the slack of binary_entropy_like."""
     return binary_entropy_like(abs(c3))
-
-
-def discord_decay(d_product: float) -> float:
-    """Discord after the transition, a function of D_A*D_B alone.
-
-    A product of 0 (both coherences fully dephased) gives f(0) = 0.
-    """
-    d_product = float(d_product)
-    if not 0.0 <= d_product <= 1.0 + _DOMAIN_SLACK:
-        raise DomainError(f"d_product must lie in [0, 1], got {d_product!r}")
-    return binary_entropy_like(min(d_product, 1.0))

@@ -1,4 +1,4 @@
-"""Shared strategies and matrix helpers for the test suite."""
+"""Shared strategies, matrix helpers and reference loops for the test suite."""
 import math
 
 import numpy as np
@@ -9,8 +9,10 @@ from dephasing_discord import (
     Reservoir,
     SystemConfig,
     XStateParams,
+    binary_entropy_like,
     gamma_closed,
 )
+from dephasing_discord import cli, dfe, evolution
 
 LN2 = math.log(2.0)
 LABELS = ("g", "e")
@@ -56,6 +58,26 @@ times = st.floats(0.0, 30.0, allow_nan=False)
 splittings = st.tuples(st.floats(0.0, 10.0, allow_nan=False), st.floats(0.0, 10.0, allow_nan=False))
 
 
+def to_matrix(rho):
+    """Dense real 4x4 rotating-frame matrix of one XDensityMatrix in the
+    product basis (gg, ge, eg, ee)."""
+    c3, al, ga = rho.c3, rho.alpha, rho.gamma
+    return 0.25 * np.array(
+        [
+            [1.0 + c3, 0.0, 0.0, al],
+            [0.0, 1.0 - c3, ga, 0.0],
+            [0.0, ga, 1.0 - c3, 0.0],
+            [al, 0.0, 0.0, 1.0 + c3],
+        ]
+    )
+
+
+def discord_decay(d_product):
+    """Discord of the family (1, m, -m) after the crossing: f(D_A*D_B), a
+    function of the decohering product alone."""
+    return binary_entropy_like(d_product)
+
+
 def entropy_bits(eigenvalues):
     """Von Neumann entropy from an eigenvalue array, 0*log0 = 0."""
     lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
@@ -80,7 +102,7 @@ def conditional_states(rho, theta, phi):
         [np.sin(2.0 * theta) * np.cos(phi), np.sin(2.0 * theta) * np.sin(phi), np.cos(2.0 * theta)],
         axis=-1,
     )
-    r = rho.to_matrix().reshape(2, 2, 2, 2)  # r[a, b, a', b'] = <a b|rho|a' b'>
+    r = to_matrix(rho).reshape(2, 2, 2, 2)  # r[a, b, a', b'] = <a b|rho|a' b'>
     states = []
     for sign in (1.0, -1.0):
         proj = 0.5 * (np.eye(2) + sign * np.einsum("...x,xbc->...bc", n, PAULI))
@@ -177,3 +199,28 @@ def gamma_per_point(reservoir, t):
     gamma *= reservoir.eta
     return gamma, math.exp(-gamma), err
 
+
+
+def sweep_csv_per_case(columns, cases, t, method):
+    """The CSV of cli._sweep_csv, one case at a time: each distinct
+    reservoir's D from the library's own route, one column pass and one
+    formatting pass per case.  The reference whose bytes and errors the
+    shared-work sweep must reproduce."""
+    classical_method, gamma_method = cli._METHODS[method]
+    curves = {}
+
+    def curve(reservoir):
+        if reservoir not in curves:
+            curves[reservoir] = evolution._decohering_factor(reservoir, t, gamma_method)
+        return curves[reservoir]
+
+    tail = "{:.17g}," * (len(cli._CSV_HEADER) - 1) + "{}"
+    blocks = [",".join((*columns, *cli._CSV_HEADER))]
+    for prefix, config in cases:
+        row = "".join(format(float(v), ".17g") + "," for v in prefix) + tail
+        *values, flags = dfe._trajectory_columns(
+            config, t, curve(config.bath_a), curve(config.bath_b), classical_method
+        )
+        regimes = ["DFE" if flag else "DECAY" for flag in flags.tolist()]
+        blocks.append("\n".join(map(row.format, *(v.tolist() for v in values), regimes)))
+    return "\n".join(blocks) + "\n"

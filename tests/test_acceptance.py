@@ -29,6 +29,8 @@ from dephasing_discord import (
 from dephasing_discord.cli import run_figure, run_sweep, _build_runspec, _make_parser
 from dephasing_discord.correlations import _grid_max
 
+from conftest import to_matrix
+
 PLATEAU = 0.11870910076930738  # binary entropy kernel at 0.4, full precision
 T_P_ZERO_T = 9.831391051117842  # sqrt(0.4**-5 - 1)
 
@@ -273,7 +275,7 @@ def test_criterion_09_additivity_and_state_invariants():
                              else float(rng.uniform(0.5, 100.0))),
             state=XStateParams((a + g) / 2.0, (g - a) / 2.0, c3),
         )
-        m = evolve(config, float(rng.uniform(0.0, 30.0))).to_matrix()
+        m = to_matrix(evolve(config, float(rng.uniform(0.0, 30.0))))
         worst_herm = max(worst_herm, float(np.max(np.abs(m - m.conj().T))))
         worst_trace = max(worst_trace, abs(float(np.trace(m).real) - 1.0))
         worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(m))))

@@ -10,10 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dephasing_discord
-from dephasing_discord import cli, evolution
+from dephasing_discord import bath, cli, dfe
+from dephasing_discord.core import ConsistencyError, DomainError, _reject
 from dephasing_discord.cli import (
+    _FIGURES,
     RunSpec,
     _build_runspec,
     _make_parser,
@@ -23,6 +27,8 @@ from dephasing_discord.cli import (
     run_figure,
     run_sweep,
 )
+
+from conftest import sweep_csv_per_case
 
 HEADER = "t,d_a,d_b,mutual_info,classical,discord,regime"
 
@@ -234,7 +240,7 @@ def test_extreme_times_emit_fully_dephased_rows(argv, capsys):
 def test_a_failure_after_validation_exits_3(monkeypatch, capsys):
     # what the 1e200 curve used to hit: a nan factor from a valid configuration
     monkeypatch.setattr(
-        cli, "_decohering_factor", lambda reservoir, t, method: np.full(t.shape, math.nan)
+        bath, "_thermal_series", lambda x, b: (np.full(x.shape, math.nan), np.zeros(x.shape))
     )
     assert main(["curve", "--points", "3"]) == 3
     assert "numerical failure: d_a must be finite" in capsys.readouterr().err
@@ -329,25 +335,150 @@ def test_quadrature_method_agrees_with_closed_on_the_grid():
 
 
 def test_each_command_computes_each_reservoir_curve_once(monkeypatch, capsys):
-    curves = []
-    closed_form = evolution.gamma_closed
+    # Gamma/eta depends on (omega_c, beta) alone: one thermal series for each
+    series = []
+    thermal_series = bath._thermal_series
 
-    def counted(reservoir, t):
-        curves.append(reservoir)
-        return closed_form(reservoir, t)
+    def counted(x, b):
+        series.append(b)
+        return thermal_series(x, b)
 
-    monkeypatch.setattr(evolution, "gamma_closed", counted)
+    monkeypatch.setattr(bath, "_thermal_series", counted)
     run_figure("fig2")  # 50 temperatures, equal baths
-    assert len(curves) == len(set(curves)) == 50
-    curves.clear()
-    run_figure("fig5")  # beta_a shared by the three kappas, 50 beta_b each for 0.2 and 5
-    assert len(curves) == len(set(curves)) == 150
-    curves.clear()
-    assert main(["figure", "fig3"]) == 0
-    assert len(curves) == 3
+    assert len(series) == len(set(series)) == 50
+    series.clear()
+    run_figure("fig5")  # beta_a shared by the three kappas, beta_b = kappa * beta_a
+    temperatures = {o[k] for _, o in _FIGURES["fig5"][1] for k in ("beta_a", "beta_b")}
+    assert len(series) == len(set(series)) == len(temperatures) == 150
+    series.clear()
+    assert main(["figure", "fig3"]) == 0  # three couplings at one temperature
+    assert len(series) == 1
     assert main(["figure", "fig3"]) == 0  # no cache outlives a command
-    assert len(curves) == 6
+    assert len(series) == 2
+    series.clear()
+    # ten couplings, equal baths; ten temperatures shared by unequal couplings
+    assert main(["surface", "--sweep-param", "eta", "--sweep-start", "0.1",
+                 "--sweep-stop", "0.9", "--sweep-count", "10", "--points", "20"]) == 0
+    assert len(series) == 1
+    series.clear()
+    assert main(["surface", "--eta-a", "0.3", "--eta-b", "0.5", "--sweep-count", "10",
+                 "--points", "20"]) == 0
+    assert len(series) == 10
     capsys.readouterr()
+
+
+_SWEEP_RANGES = {
+    "beta": (0.5, 20.0), "beta_a": (0.5, 20.0), "beta_b": (0.5, 20.0), "kappa": (0.1, 5.0),
+    "eta": (0.05, 1.0), "eta_a": (0.05, 1.0), "eta_b": (0.05, 1.0),
+}
+
+
+def outcome(run, *args):
+    """The text a run returns, or the type and message of what it raises."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def surface_argvs(draw):
+    """Small surfaces over every sweep parameter and method, with and without
+    --kappa, with equal and unequal couplings; or the curve of their first
+    case, which formats its columns in place."""
+    param = draw(st.sampled_from(sorted(_SWEEP_RANGES)))
+    method = draw(st.sampled_from(["closed", "bruteforce", "quadrature"]))
+    lo, hi = _SWEEP_RANGES[param]
+    start, stop = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+    eta_a = draw(st.floats(0.05, 1.0))
+    eta_b = eta_a if draw(st.booleans()) else draw(st.floats(0.05, 1.0))
+    m = draw(st.floats(0.0, 1.0))
+    sweep = ["--sweep-param", param, f"--sweep-start={start!r}", f"--sweep-stop={stop!r}",
+             "--sweep-count", str(draw(st.integers(2, 5)))]
+    run = ["--points", str(draw(st.integers(2, 6))), f"--t-max={draw(st.floats(0.5, 40.0))!r}",
+           "--method", method, f"--eta-a={eta_a!r}", f"--eta-b={eta_b!r}",
+           f"--c2={m!r}", f"--c3={-m!r}", f"--beta-a={draw(st.floats(0.5, 20.0))!r}"]
+    if draw(st.booleans()):
+        run.append(f"--kappa={draw(st.floats(0.1, 5.0))!r}")
+    return ["curve", *run] if draw(st.integers(0, 3)) == 0 else ["surface", *sweep, *run]
+
+
+@given(surface_argvs(), st.sampled_from([2, 7, 2**14]))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_surfaces_match_the_case_by_case_loop_byte_for_byte(argv, pass_rows):
+    spec = spec_for(argv)
+    param, cases = spec.sweep or ((), [((), spec.config)])
+    columns = (param,) if param else ()
+    expected = outcome(
+        sweep_csv_per_case, columns, [((v,), c) for v, c in cases] if param else cases,
+        spec.t, spec.method,
+    )
+    # a small pass cap splits the cases across several column passes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_PASS_ROWS", pass_rows)
+        assert outcome(run_sweep, spec) == expected
+
+
+def test_figures_match_the_case_by_case_loop_byte_for_byte():
+    # fig4 changes the initial state from case to case
+    for figure in ("fig3", "fig4"):
+        columns, cases = _FIGURES[figure]
+        configs = [(p, cli._build_config({**cli._DEFAULTS, **o})) for p, o in cases]
+        t = np.linspace(0.0, 30.0, 300)
+        expected = sweep_csv_per_case(columns, configs, t, cli.RunMethod.CLOSED)
+        got = run_figure(figure)
+        # the first differing line, not a diff of two 100 kB texts
+        mismatch = got != expected and next(
+            (i, g, e) for i, (g, e) in enumerate(zip(got.split("\n"), expected.split("\n")))
+            if g != e
+        )
+        assert not mismatch, (figure, mismatch)
+
+
+def _failing_case_quadrature(monkeypatch):
+    """A quadrature eta surface whose certified error first exceeds the
+    limit at case 2: the error grows with the coupling."""
+    argv = ["surface", "--method", "quadrature", "--sweep-param", "eta", "--sweep-start",
+            "0.2", "--sweep-stop", "1.0", "--sweep-count", "5", "--points", "4",
+            "--t-max", "30"]
+    spec = spec_for(argv)
+    worst = [max(bath.gamma_quadrature(c.bath_a, s).est_error for s in spec.t.tolist())
+             for _, c in spec.sweep[1]]
+    assert worst[0] < worst[1] < worst[2]
+    monkeypatch.setattr(bath, "QUAD_ERROR_LIMIT", 0.5 * (worst[1] + worst[2]))
+    return argv
+
+
+def _failing_columns(monkeypatch):
+    """A beta_b surface whose case 1 fails a later check than case 3: a pass
+    over all cases meets case 3's failure first, the case-by-case loop
+    case 1's."""
+    argv = ["surface", "--sweep-param", "beta_b", "--sweep-count", "5", "--points", "9"]
+    spec = spec_for(argv)
+    d_b = [bath.gamma_closed(c.bath_b, spec.t).d for _, c in spec.sweep[1]]
+    early, late = d_b[3][4], d_b[1][6]
+    check_samples = dfe._check_samples
+
+    def spoiled(t, d_a, d_b, *rest):
+        _reject(d_b == early, DomainError, t, lambda i: "spoiled before the checks")
+        check_samples(t, d_a, d_b, *rest)
+        _reject(d_b == late, ConsistencyError, t, lambda i: "spoiled after the checks")
+
+    monkeypatch.setattr(dfe, "_check_samples", spoiled)
+    return argv
+
+
+@pytest.mark.parametrize("spoil", [_failing_case_quadrature, _failing_columns],
+                         ids=["quadrature-limit", "column-checks"])
+def test_a_failing_case_exits_as_the_case_by_case_loop_does(monkeypatch, capsys, spoil):
+    argv = spoil(monkeypatch)
+    assert main(argv) == 3
+    got = capsys.readouterr()
+    monkeypatch.setattr(cli, "_sweep_csv", sweep_csv_per_case)
+    assert main(argv) == 3
+    expected = capsys.readouterr()
+    assert got.out == expected.out == ""
+    assert got.err == expected.err and got.err.startswith("numerical failure: ")
 
 
 def test_verify_report_passes_and_flags_injected_error(capsys):
@@ -399,6 +530,16 @@ GOLDEN = {
      "--beta-a", "7.5", "--sweep-param", "kappa", "--sweep-start", "0.2",
      "--sweep-stop", "5", "--sweep-count", "10", "--points", "300"):
         "0c3f5731f1a65974905ab7d92cc874ed04e720379efeb0f9605064350215a449",
+    # an eta surface with equal baths: ten reservoirs, one thermal series
+    ("surface", "--c2", "0.35", "--c3", "-0.35", "--beta-a", "4", "--beta-b", "4",
+     "--sweep-param", "eta", "--sweep-start", "0.1", "--sweep-stop", "0.9",
+     "--sweep-count", "10", "--points", "300"):
+        "ed07e237b1f159f9bef52deb157885f15be0b385061559f9c812acaa77b86ffc",
+    # a beta surface with unequal couplings: baths A and B share each series
+    ("surface", "--c2", "0.5", "--c3", "-0.5", "--eta-a", "0.3", "--eta-b", "0.5",
+     "--sweep-param", "beta", "--sweep-start", "1.5", "--sweep-stop", "9",
+     "--sweep-count", "10", "--points", "300"):
+        "74ba183c9c22b04d6e0d6adab2b79d92e1317515ebc433afdd948d96ba83647f",
 }
 
 

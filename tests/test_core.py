@@ -21,7 +21,7 @@ from dephasing_discord import (
 )
 from dephasing_discord.evolution import eigenvalues
 
-from conftest import assert_density_matrix, valid_states
+from conftest import assert_density_matrix, to_matrix, valid_states
 
 
 def initial_matrix(params):
@@ -106,7 +106,7 @@ def test_system_config_validates_state():
 
 def test_x_density_matrix_shape_and_invariants():
     rho = XDensityMatrix(c3=-0.4, alpha=-0.3, gamma=0.5, t=1.0)
-    m = rho.to_matrix()
+    m = to_matrix(rho)
     assert_density_matrix(m)
     # only diagonal and anti-diagonal entries may be nonzero
     x_mask = np.zeros((4, 4), dtype=bool)
