@@ -32,8 +32,10 @@ SERIES_TAIL_TARGET = 1e-13
 SERIES_TERM_CAP = 10**7
 # Terms per chunk of the vectorized series (a larger N takes one row per chunk).
 _CHUNK_ELEMENTS = 2**15
-# The quadrature route must certify at least this absolute accuracy.
+# The quadrature route must certify at least this accuracy relative to max(1, Gamma).
 QUAD_ERROR_LIMIT = 1e-9
+# Rounding floor of a panel's estimate per unit of its Q_2n, which is sum |f|*w as f >= 0.
+_QUAD_ROUNDING = 50.0 * 2.0**-52
 _QUAD_PANEL_EPSABS = 2e-13
 _QUAD_PANEL_EPSREL = 1e-13
 _QUAD_MAX_PANELS = 2**20  # t ~ 2,500 at omega_c = 1; the panel count grows as t^2
@@ -269,8 +271,9 @@ def gamma_quadrature(
     panels as one array; it reports Q_2n, with |Q_2n - Q_n| as its error
     estimate, and is halved and integrated again while that estimate misses
     max(epsabs, epsrel*|Q_2n|), at most _QUAD_MAX_DEPTH times.  est_error is
-    the sum of the accepted estimates plus a bound on the integral beyond the
-    cutoff, and must stay within QUAD_ERROR_LIMIT.  The prefactor
+    the sum of the accepted estimates, each with a rounding floor of
+    _QUAD_ROUNDING * Q_2n, plus a bound on the integral beyond the cutoff,
+    and must stay within QUAD_ERROR_LIMIT * max(1, Gamma).  The prefactor
     knob exists only for consistency probes (run_verify injects 8 to
     demonstrate that the conventional factor is a x4 disagreement).
     """
@@ -323,7 +326,7 @@ def gamma_quadrature(
             err = np.abs(q[:, 1] - q[:, 0])
             ok = err <= np.maximum(_QUAD_PANEL_EPSABS, _QUAD_PANEL_EPSREL * np.abs(q[:, 1]))
             sums.append(math.fsum(q[ok, 1].tolist()))
-            est += float(np.sum(err[ok]))
+            est += float(np.sum(err[ok])) + _QUAD_ROUNDING * sums[-1]
             if not ok.all():
                 if depth == _QUAD_MAX_DEPTH:
                     i = int(np.argmin(ok))
@@ -337,9 +340,10 @@ def gamma_quadrature(
     # Contribution beyond the cutoff, bounded with sin^2 <= 1 and coth decreasing.
     coth_w = 1.0 if cold else 1.0 / math.tanh(0.5 * beta * cutoff)
     est += scale * coth_w * omega_c * math.exp(-cutoff / omega_c) / cutoff
-    if not est <= QUAD_ERROR_LIMIT:
-        raise QuadratureFailure(
-            f"certified error {est!r} exceeds {QUAD_ERROR_LIMIT} for {reservoir} at t = {t}"
-        )
     gamma = math.fsum(sums)
+    limit = QUAD_ERROR_LIMIT * max(1.0, gamma)
+    if not est <= limit:
+        raise QuadratureFailure(
+            f"certified error {est!r} exceeds {limit!r} for {reservoir} at t = {t}"
+        )
     return DecoherenceEval(gamma, math.exp(-gamma), est)

@@ -339,6 +339,13 @@ def run_figure(figure: str) -> str:
     )
 
 
+def _drawn_bath(rng: np.random.Generator, cold_share: float) -> Reservoir:
+    """eta on [0.05, 1], omega_c = 1, beta = inf with probability cold_share, else on [1, 50]."""
+    eta = float(rng.uniform(0.05, 1.0))
+    cold = rng.uniform() < cold_share
+    return Reservoir(eta, 1.0, math.inf if cold else float(rng.uniform(1.0, 50.0)))
+
+
 def _verify_checks(debug_prefactor_8: bool):
     rng = np.random.default_rng(_VERIFY_SEED)
     checks = []
@@ -348,11 +355,7 @@ def _verify_checks(debug_prefactor_8: bool):
     worst = 0.0
     ratio_lo, ratio_hi = math.inf, -math.inf
     for _ in range(50):
-        reservoir = Reservoir(
-            eta=float(rng.uniform(0.05, 1.0)),
-            omega_c=1.0,
-            beta=math.inf if rng.uniform() < 0.25 else float(rng.uniform(1.0, 50.0)),
-        )
+        reservoir = _drawn_bath(rng, 0.25)
         t = float(rng.uniform(0.0, 20.0))
         quad = gamma_quadrature(reservoir, t, prefactor=prefactor).gamma
         closed = gamma_closed(reservoir, t).gamma
@@ -374,19 +377,8 @@ def _verify_checks(debug_prefactor_8: bool):
         a0 = float(rng.uniform(-(1.0 + c3), 1.0 + c3))
         g0 = float(rng.uniform(-(1.0 - c3), 1.0 - c3))
         rng.uniform(0.0, 10.0, size=2)  # the splittings, which move no correlation
-        config = SystemConfig(
-            bath_a=Reservoir(
-                float(rng.uniform(0.05, 1.0)),
-                1.0,
-                math.inf if rng.uniform() < 0.3 else float(rng.uniform(1.0, 50.0)),
-            ),
-            bath_b=Reservoir(
-                float(rng.uniform(0.05, 1.0)),
-                1.0,
-                math.inf if rng.uniform() < 0.3 else float(rng.uniform(1.0, 50.0)),
-            ),
-            state=XStateParams((a0 + g0) / 2.0, (g0 - a0) / 2.0, c3),
-        )
+        state = XStateParams((a0 + g0) / 2.0, (g0 - a0) / 2.0, c3)
+        config = SystemConfig(_drawn_bath(rng, 0.3), _drawn_bath(rng, 0.3), state)
         rho = evolve(config, float(rng.uniform(0.0, 10.0)))
         closed, _ = classical_closed(rho)
         brute, _ = classical_bruteforce(rho)
@@ -395,19 +387,13 @@ def _verify_checks(debug_prefactor_8: bool):
 
     # Crossing time: bisection against the zero-temperature formula.
     worst = 0.0
-    combos = 0
-    for eta in (0.1, 0.2, 0.5):
-        for magnitude in (0.2, 0.4, 0.8):
-            config = SystemConfig(
-                bath_a=Reservoir(eta, 1.0, math.inf),
-                bath_b=Reservoir(eta, 1.0, math.inf),
-                state=XStateParams(1.0, magnitude, -magnitude),
-            )
-            solved = critical_time_solve(config).t_p
-            exact = critical_time_closed(eta, -magnitude, 1.0)
-            worst = max(worst, abs(solved - exact) / exact)
-            combos += 1
-    checks.append(("critical time bisection vs closed form", combos, worst, 1e-9))
+    combos = [(eta, m) for eta in (0.1, 0.2, 0.5) for m in (0.2, 0.4, 0.8)]
+    for eta, m in combos:
+        cold = Reservoir(eta, 1.0, math.inf)
+        solved = critical_time_solve(SystemConfig(cold, cold, XStateParams(1.0, m, -m)))
+        exact = critical_time_closed(eta, -m, 1.0)
+        worst = max(worst, abs(solved.t_p - exact) / exact)
+    checks.append(("critical time bisection vs closed form", len(combos), worst, 1e-9))
 
     # Frozen window: trajectory discord against the constant value.
     config = _build_config(dict(_DEFAULTS))

@@ -38,6 +38,7 @@ _PHIS = np.sort(np.concatenate((np.linspace(0.0, 2.0 * math.pi, 181, endpoint=Fa
                                 (0.5 * math.pi, math.pi, 1.5 * math.pi))))
 _REFINE_TOL = 1e-10
 _SECTION_POINTS = 65
+_SECTION_STEPS = np.arange(float(_SECTION_POINTS))
 
 
 class ClassicalMethod(Enum):
@@ -94,8 +95,9 @@ def binary_entropy_like(x):
 
 
 def _entropy_term(lam):
-    """-lam * log2(lam) of a spectrum entry clamped to [0, 1], 0*log(0) read as 0."""
-    lam = np.clip(lam, 0.0, 1.0)
+    """-lam * log2(lam) of a spectrum entry clamped to [0, 1] (np.clip's bits,
+    at less fixed cost on a multisection's short arrays), 0*log(0) read as 0."""
+    lam = np.minimum(np.maximum(0.0, lam), 1.0)
     return -lam * np.log2(np.where(lam > 0.0, lam, 1.0))
 
 
@@ -130,30 +132,30 @@ def _measurement_objective(c3, alpha, gamma, theta, phi):
     Both outcomes k occur with probability 1/2 and leave qubit A in
     [[a_k, b_k], [conj(b_k), d_k]] with a_k, d_k = (1 +- (-1)^k * c3*cos(2*theta))/2
     and b_k = (-1)^k * conj(eps) * sin(2*theta)/4, eps = alpha*exp(-i*phi) + gamma*exp(i*phi).
-    Each spectrum is the generic 2x2 one, which knows nothing of where the
-    optimum lies.  theta and phi are floats or broadcast arrays.
+    Outcome 1 is outcome 0 with a and d swapped and b negated, exactly in
+    floating point too, so the two share one spectrum, bit for bit: it is
+    computed once and its entropy terms summed in the order of the two
+    outcomes.  The spectrum is the generic 2x2 one, which knows nothing of
+    where the optimum lies.  theta and phi are floats or broadcast arrays.
     """
     cos2t = np.cos(2.0 * theta)
-    sin2t = np.sin(2.0 * theta)
-    eps_re = (alpha + gamma) * np.cos(phi)
-    eps_im = (alpha - gamma) * np.sin(phi)  # Im conj(eps)
-    total = 0.0
-    for sign in (1.0, -1.0):
-        a = 0.5 * (1.0 + sign * c3 * cos2t)
-        d = 0.5 * (1.0 - sign * c3 * cos2t)
-        b_re = 0.25 * sign * sin2t * eps_re
-        b_im = 0.25 * sign * sin2t * eps_im
-        low, high = _spectrum_2x2(a, d, b_re * b_re + b_im * b_im)
-        total = total + _entropy_term(low) + _entropy_term(high)
-    return 1.0 - 0.5 * total
+    quarter_sin2t = 0.25 * np.sin(2.0 * theta)
+    polar = c3 * cos2t
+    b_re = quarter_sin2t * ((alpha + gamma) * np.cos(phi))
+    b_im = quarter_sin2t * ((alpha - gamma) * np.sin(phi))  # Im conj(eps)
+    low, high = _spectrum_2x2(0.5 * (1.0 + polar), 0.5 * (1.0 - polar), b_re * b_re + b_im * b_im)
+    e_low, e_high = _entropy_term(low), _entropy_term(high)
+    return 1.0 - 0.5 * (((e_low + e_high) + e_low) + e_high)
 
 
 def _multisection_max(fun, lo: float, hi: float, best_x: float, best_f: float):
     """Sharpen (best_x, best_f) over [lo, hi]: each round evaluates fun on
     _SECTION_POINTS even points at once and keeps the two steps around the
-    largest, until the bracket is below _REFINE_TOL.  best_f never falls."""
+    largest, until the bracket is below _REFINE_TOL.  best_f never falls.
+    The points are np.linspace(lo, hi, _SECTION_POINTS)'s, bit for bit."""
     while hi - lo > _REFINE_TOL:
-        xs = np.linspace(lo, hi, _SECTION_POINTS)
+        xs = _SECTION_STEPS * ((hi - lo) / (_SECTION_POINTS - 1)) + lo
+        xs[-1] = hi
         values = fun(xs)
         i = int(np.argmax(values))
         if values[i] > best_f:

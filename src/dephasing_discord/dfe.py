@@ -11,6 +11,7 @@ trajectories.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,8 @@ from .core import (
 from .correlations import ClassicalMethod, discord
 from .evolution import _assemble, _decohering_factor
 
-# Bisection stops when the bracket is this narrow (in units of 1/omega_c).
-_BRACKET_WIDTH = 1e-12
-# Doubling the upper bracket edge gives up at 2**20 / omega_c.
-_BRACKET_CAP_EXPONENT = 20
+_BRACKET_WIDTH = 1e-12  # where bisection stops, relative to the upper edge
+_BRACKET_CAP_EXPONENT = 20  # doubling the upper edge gives up at 2**20 / max(omega_c)
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,11 @@ def critical_time_solve(config: SystemConfig) -> CriticalTime | None:
     time the optimal measurement switches from the coherence branch to the
     c3 branch.
 
+    The comparison runs in the exponent, Gamma_A + Gamma_B against
+    ln(m/|c3|), so it holds where D_A*D_B underflows.  Gamma rises with t:
+    from t = 1/max(omega_c) the bracket halves while the crossing lies below
+    it and doubles, up to 2**20/max(omega_c), while it lies above.
+
     Returns None when no frozen window exists at all: either c3 = 0 (the
     optimum never leaves the coherence branch) or the initial coherences are
     already too weak, m <= |c3|.
@@ -73,35 +77,38 @@ def critical_time_solve(config: SystemConfig) -> CriticalTime | None:
     weight = _branch_weight(config)
     if mod_c3 == 0.0 or weight <= mod_c3:
         return None
+    # ln(m/|c3|), accurate for m near |c3|; the ratio overflows for a subnormal |c3| only
+    ratio = (weight - mod_c3) / mod_c3
+    exponent = math.log1p(ratio) if ratio < math.inf else math.log(weight) - math.log(mod_c3)
 
-    def gap(t: float) -> float:
-        return (
-            weight * gamma_closed(config.bath_a, t).d * gamma_closed(config.bath_b, t).d
-            - mod_c3
-        )
+    def frozen(t: float) -> bool:  # m*D_A(t)*D_B(t) >= |c3|
+        gammas = gamma_closed(config.bath_a, t).gamma + gamma_closed(config.bath_b, t).gamma
+        return gammas <= exponent
 
-    omega_ref = config.bath_a.omega_c
-    cap = 2.0**_BRACKET_CAP_EXPONENT / omega_ref
-    t_lo = 0.0
-    t_hi = 1.0 / omega_ref
-    while gap(t_hi) >= 0.0:
-        t_lo = t_hi
-        t_hi *= 2.0
-        if t_hi > cap:
-            raise NoRootInRange(
-                f"m*D_A*D_B stayed above |c3| = {mod_c3} up to t = {cap}"
-            )
-    width = _BRACKET_WIDTH / omega_ref
-    while t_hi - t_lo > width:
-        mid = 0.5 * (t_lo + t_hi)
+    omega_max = max(config.bath_a.omega_c, config.bath_b.omega_c)
+    cap = min(2.0**_BRACKET_CAP_EXPONENT / omega_max, sys.float_info.max)
+    t = min(1.0 / omega_max, cap)
+    if frozen(t):
+        t_lo, t_hi = t, min(2.0 * t, cap)
+        while frozen(t_hi):
+            if t_hi == cap:
+                raise NoRootInRange(f"m*D_A*D_B stayed above |c3| = {mod_c3} up to t = {cap}")
+            t_lo, t_hi = t_hi, min(2.0 * t_hi, cap)
+    else:  # ends by t = 0 at the latest, where Gamma = 0
+        t_lo, t_hi = 0.5 * t, t
+        while not frozen(t_lo):
+            t_lo, t_hi = 0.5 * t_lo, t_lo
+    while t_hi - t_lo > _BRACKET_WIDTH * t_hi:
+        mid = 0.5 * t_lo + 0.5 * t_hi  # halves first: t_lo + t_hi may overflow
         if not t_lo < mid < t_hi:  # bracket already at float resolution
             break
-        if gap(mid) >= 0.0:
+        if frozen(mid):
             t_lo = mid
         else:
             t_hi = mid
-    t_p = 0.5 * (t_lo + t_hi)
-    return CriticalTime(t_p, (t_lo, t_hi), gap(t_p))
+    t_p = 0.5 * t_lo + 0.5 * t_hi
+    d_a, d_b = gamma_closed(config.bath_a, t_p).d, gamma_closed(config.bath_b, t_p).d
+    return CriticalTime(t_p, (t_lo, t_hi), weight * d_a * d_b - mod_c3)
 
 
 def _time_grid(t_max: float, n_points: int) -> np.ndarray:

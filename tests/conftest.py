@@ -1,6 +1,7 @@
 """Shared strategies, matrix helpers and reference loops for the test suite."""
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from dephasing_discord import (
     binary_entropy_like,
     gamma_closed,
 )
-from dephasing_discord import cli, dfe, evolution
+from dephasing_discord import cli, correlations, dfe, evolution
 
 LN2 = math.log(2.0)
 LABELS = ("g", "e")
@@ -105,9 +106,13 @@ def conditional_states(rho, theta, phi):
     r = to_matrix(rho).reshape(2, 2, 2, 2)  # r[a, b, a', b'] = <a b|rho|a' b'>
     states = []
     for sign in (1.0, -1.0):
-        proj = 0.5 * (np.eye(2) + sign * np.einsum("...x,xbc->...bc", n, PAULI))
-        unnormalized = np.einsum("...db,ibjc,...cd->...ij", proj, r, proj)
-        p_k = np.trace(unnormalized, axis1=-2, axis2=-1)
+        proj = 0.5 * (np.eye(2) + sign * np.einsum("...x,xbc->...bc", n, PAULI, optimize=True))
+        # sum_{b,c,d} proj[d, b] r[i, b, j, c] proj[c, d], contracted over d
+        # first: proj[c, d] proj[d, b] as two outer products, then one
+        # contraction with r that numpy hands to BLAS
+        square = proj[..., :, :1] * proj[..., :1, :] + proj[..., :, 1:] * proj[..., 1:, :]
+        unnormalized = np.einsum("...cb,ibjc->...ij", square, r, optimize=True)
+        p_k = unnormalized[..., 0, 0] + unnormalized[..., 1, 1]
         states.append(unnormalized / p_k[..., None, None])
     return np.stack(states)
 
@@ -119,6 +124,60 @@ def measured_information(rho, theta, phi):
     safe = np.where(lams > 0.0, lams, 1.0)
     entropies = -np.sum(lams * np.log2(safe), axis=-1)
     return 1.0 - 0.5 * np.sum(entropies, axis=0)
+
+
+def reference_objective(c3, alpha, gamma, theta, phi):
+    """The angle-search objective with each outcome's spectrum computed and
+    summed in turn, np.clip clamping each eigenvalue: the reference that
+    correlations._measurement_objective, which computes one spectrum for
+    both outcomes, must reproduce bit for bit."""
+    cos2t = np.cos(2.0 * theta)
+    sin2t = np.sin(2.0 * theta)
+    eps_re = (alpha + gamma) * np.cos(phi)
+    eps_im = (alpha - gamma) * np.sin(phi)
+    total = 0.0
+    for sign in (1.0, -1.0):
+        a = 0.5 * (1.0 + sign * c3 * cos2t)
+        d = 0.5 * (1.0 - sign * c3 * cos2t)
+        b_re = 0.25 * sign * sin2t * eps_re
+        b_im = 0.25 * sign * sin2t * eps_im
+        mean = 0.5 * (a + d)
+        radius = np.sqrt(0.25 * (a - d) ** 2 + (b_re * b_re + b_im * b_im))
+        for lam in (mean - radius, mean + radius):
+            lam = np.clip(lam, 0.0, 1.0)
+            total = total + -lam * np.log2(np.where(lam > 0.0, lam, 1.0))
+    return 1.0 - 0.5 * total
+
+
+def reference_bruteforce(rho):
+    """(value, theta, phi) of classical_bruteforce's search run on
+    reference_objective, its sections built by np.linspace."""
+    c3, alpha, gamma = rho.c3, rho.alpha, rho.gamma
+    thetas, phis = correlations._THETAS, correlations._PHIS
+    grid = reference_objective(c3, alpha, gamma, thetas[:, None], phis)
+    i_theta, i_phi = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    value, theta, phi = float(grid[i_theta, i_phi]), float(thetas[i_theta]), float(phis[i_phi])
+
+    def section(fun, lo, hi, best_x, best_f):
+        while hi - lo > 1e-10:
+            xs = np.linspace(lo, hi, 65)
+            values = fun(xs)
+            i = int(np.argmax(values))
+            if values[i] > best_f:
+                best_x, best_f = float(xs[i]), float(values[i])
+            lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 64)])
+        return best_x, best_f
+
+    step_theta, step_phi = 0.5 * math.pi / 90, 2.0 * math.pi / 181
+    best_theta, value = section(
+        lambda u: reference_objective(c3, alpha, gamma, u, phi),
+        max(0.0, theta - step_theta), min(0.5 * math.pi, theta + step_theta), theta, value,
+    )
+    best_phi, value = section(
+        lambda u: reference_objective(c3, alpha, gamma, best_theta, u),
+        phi - step_phi, phi + step_phi, phi, value,
+    )
+    return value, best_theta, best_phi % (2.0 * math.pi) % (2.0 * math.pi)
 
 
 def partial_trace(rho, keep):
@@ -199,6 +258,25 @@ def gamma_per_point(reservoir, t):
     gamma *= reservoir.eta
     return gamma, math.exp(-gamma), err
 
+
+
+def mpmath_gamma(reservoir, t):
+    """Gamma of one time as an mpf, from the log-gamma identity of the thermal
+    series, sum_{n>=1} ln(1 + x^2/(1+b*n)^2) = 2[ln Gamma(1 + 1/b) -
+    Re ln Gamma(1 + 1/b + i*x/b)] with x = omega_c*t and b = beta*omega_c.
+    The difference cancels the digits of 1/b, so the working precision is
+    40 digits plus those."""
+    lost = 0
+    if not math.isinf(reservoir.beta):
+        lost = max(0, math.ceil(-math.log10(reservoir.beta) - math.log10(reservoir.omega_c)))
+    with mpmath.workdps(40 + lost):
+        x = mpmath.mpf(reservoir.omega_c) * mpmath.mpf(t)
+        value = mpmath.log1p(x * x) / 2
+        if not math.isinf(reservoir.beta):
+            inv_b = 1 / (mpmath.mpf(reservoir.beta) * mpmath.mpf(reservoir.omega_c))
+            value += 2 * (mpmath.loggamma(1 + inv_b)
+                          - mpmath.re(mpmath.loggamma(1 + inv_b + 1j * x * inv_b)))
+        return mpmath.mpf(reservoir.eta) * value
 
 
 def sweep_csv_per_case(columns, cases, t, method):

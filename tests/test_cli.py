@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dephasing_discord
-from dephasing_discord import bath, cli, dfe
+from dephasing_discord import bath, cli, dfe, evolution
 from dephasing_discord.core import ConsistencyError, DomainError, _reject
 from dephasing_discord.cli import (
     _FIGURES,
@@ -254,6 +254,24 @@ def test_quadrature_past_its_panel_limit_exits_3(capsys):
     assert "panels exceed the limit of 1048576" in err and "t = 1000000.0" in err
 
 
+def test_quadrature_limit_is_relative_to_gamma(monkeypatch, capsys):
+    # a hot bath at t = 1000: Gamma ~ 3e6 is right to ~1e-15 relative while
+    # its certified error, ~2e-9, is past the limit read as absolute
+    evals = []
+
+    def recording(*args):
+        evals.append(bath.gamma_quadrature(*args))
+        return evals[-1]
+
+    monkeypatch.setattr(evolution, "gamma_quadrature", recording)
+    argv = ["curve", "--method", "quadrature", "--beta-a", "0.001", "--beta-b", "0.001",
+            "--eta-a", "1", "--eta-b", "1", "--t-max", "1000", "--points", "2"]
+    assert main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[:3] == ["1000", "0", "0"]
+    assert 1e-9 < evals[-1].est_error <= 1e-9 * evals[-1].gamma
+
+
 def test_surface_sweep_prepends_parameter_column(capsys):
     argv = ["surface", "--sweep-param", "eta", "--sweep-start", "0.2",
             "--sweep-stop", "0.4", "--sweep-count", "2",
@@ -437,12 +455,14 @@ def test_figures_match_the_case_by_case_loop_byte_for_byte():
 
 def _failing_case_quadrature(monkeypatch):
     """A quadrature eta surface whose certified error first exceeds the
-    limit at case 2: the error grows with the coupling."""
+    limit at case 2: with Gamma below 1 the limit is absolute, and the error
+    grows with the coupling."""
     argv = ["surface", "--method", "quadrature", "--sweep-param", "eta", "--sweep-start",
-            "0.2", "--sweep-stop", "1.0", "--sweep-count", "5", "--points", "4",
+            "0.01", "--sweep-stop", "0.05", "--sweep-count", "5", "--points", "4",
             "--t-max", "30"]
     spec = spec_for(argv)
-    worst = [max(bath.gamma_quadrature(c.bath_a, s).est_error for s in spec.t.tolist())
+    worst = [max(q.est_error / max(1.0, q.gamma)
+                 for q in (bath.gamma_quadrature(c.bath_a, s) for s in spec.t.tolist()))
              for _, c in spec.sweep[1]]
     assert worst[0] < worst[1] < worst[2]
     monkeypatch.setattr(bath, "QUAD_ERROR_LIMIT", 0.5 * (worst[1] + worst[2]))
@@ -506,8 +526,10 @@ GOLDEN = {
         "2a4db97a806419a7b06ebad72a408bb08e5da77d0aecc9b37abb91b5ecd086fa",
     ("critical-time",):
         "e961b72f654d596bc1237f79796e6756afe124192fd3ee24256c5197e213cb13",
+    # the crossing bisection stops at a width relative to t_hi, so its worst
+    # deviation from the zero-temperature formula reads 3.235e-13
     ("verify",):
-        "ebbff94a84cab6b4c85e249b965bffa0f292d8b2646052d7f9b1a1bbaaad198e",
+        "15fe7705416a3f3194ad895dd49427085d3ddf32bc574761718ec5d916d1e048",
     ("curve", "--method", "bruteforce", "--points", "6", "--t-max", "20"):
         "713b9a6473eb812520b4b7a29e93ff46cf7633f5a7ec1aec0676404a25fb00bd",
     ("curve", "--method", "quadrature", "--points", "20", "--t-max", "20"):

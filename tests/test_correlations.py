@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephasing_discord import (
@@ -26,7 +26,15 @@ from dephasing_discord import (
 )
 from dephasing_discord.evolution import eigenvalues
 
-from dephasing_discord.correlations import _grid_max, _measurement_objective, _spectrum_2x2
+from dephasing_discord.correlations import (
+    _PHIS,
+    _THETAS,
+    _entropy_term,
+    _grid_max,
+    _measurement_objective,
+    _multisection_max,
+    _spectrum_2x2,
+)
 
 from conftest import (
     PAULI,
@@ -35,6 +43,8 @@ from conftest import (
     entropy_bits,
     measured_information,
     partial_trace,
+    reference_bruteforce,
+    reference_objective,
     splittings,
     system_configs,
     times,
@@ -199,6 +209,60 @@ def test_refinement_stays_within_one_step_of_the_grid_argmax(config, t):
     assert min(turn, 2.0 * math.pi - turn) <= 2.0 * math.pi / 181 + 1e-15
 
 
+@given(
+    system_configs(),
+    times,
+    st.floats(0.0, math.pi / 2.0, allow_nan=False),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True, allow_nan=False),
+    st.floats(1e-10, 0.5, allow_nan=False),
+)
+# a pure Bell state: conditional spectra of exactly 0 and 1
+@example(SystemConfig(Reservoir(0.2, 1.0, math.inf), Reservoir(0.2, 1.0, math.inf),
+                      XStateParams(1.0, -1.0, 1.0)), 0.0, 0.0, 0.0, 1e-10)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_objective_and_search_are_the_two_outcome_reference_bit_for_bit(config, t, theta, phi, width):
+    # Outcome 1's conditional state is outcome 0's with a, d swapped and b
+    # negated, all exact in floating point, so one spectrum serves both.
+    rho = evolve(config, t)
+    state = (rho.c3, rho.alpha, rho.gamma)
+    for angles in (
+        (_THETAS[:, None], _PHIS),
+        (np.linspace(max(0.0, theta - width), min(0.5 * math.pi, theta + width), 65), phi),
+        (theta, np.linspace(phi - width, phi + width, 65)),
+        (theta, phi),
+    ):
+        fast, reference = _measurement_objective(*state, *angles), reference_objective(*state, *angles)
+        assert np.shape(fast) == np.shape(reference) and np.array_equal(fast, reference)
+    value, at = classical_bruteforce(rho)
+    assert (value, at.theta, at.phi) == reference_bruteforce(rho)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=16))
+@settings(max_examples=100, derandomize=True)
+def test_entropy_term_clamps_as_np_clip_bit_for_bit(values):
+    lam = np.array(values)
+    clipped = np.clip(lam, 0.0, 1.0)
+    reference = -clipped * np.log2(np.where(clipped > 0.0, clipped, 1.0))
+    assert _entropy_term(lam).tobytes() == reference.tobytes()
+    assert _entropy_term(lam[0]).tobytes() == reference[0].tobytes()
+
+
+@given(st.floats(-10.0, 10.0, allow_nan=False), st.floats(2e-10, 10.0, allow_nan=False),
+       st.floats(0.0, 1.0, allow_nan=False))
+@settings(max_examples=100, derandomize=True)
+def test_sections_are_np_linspace_bit_for_bit(lo, width, peak):
+    sections = []
+
+    def fun(xs):
+        sections.append(xs.copy())
+        return -np.abs(xs - (lo + peak * width))
+
+    _multisection_max(fun, lo, lo + width, lo, -math.inf)
+    assert sections
+    for xs in sections:
+        assert xs.tobytes() == np.linspace(xs[0], xs[-1], 65).tobytes()
+
+
 def test_measurement_angles_validate_ranges():
     MeasurementAngles(0.0, 0.0)
     MeasurementAngles(math.pi / 2.0, 6.28)
@@ -250,9 +314,9 @@ def _dense_grid_classical(matrix, phi_offset=0.0):
     r = np.asarray(matrix).reshape(2, 2, 2, 2)
     conditional = 0.0
     for sign in (1.0, -1.0):
-        proj = 0.5 * (np.eye(2) + sign * np.einsum("gx,xbc->gbc", n, PAULI))
-        unnormalized = np.einsum("gcb,ibjc->gij", proj, r)
-        p_k = np.trace(unnormalized, axis1=1, axis2=2).real
+        proj = 0.5 * (np.eye(2) + sign * np.einsum("gx,xbc->gbc", n, PAULI, optimize=True))
+        unnormalized = np.einsum("gcb,ibjc->gij", proj, r, optimize=True)
+        p_k = (unnormalized[:, 0, 0] + unnormalized[:, 1, 1]).real
         lams = np.clip(np.linalg.eigvalsh(unnormalized / p_k[:, None, None]), 0.0, 1.0)
         entropies = -np.sum(lams * np.log2(np.where(lams > 0.0, lams, 1.0)), axis=-1)
         conditional = conditional + p_k * entropies

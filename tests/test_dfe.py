@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,9 +29,9 @@ from dephasing_discord import (
     gamma_closed,
     scan_trajectory,
 )
-from dephasing_discord import correlations, dfe
+from dephasing_discord import cli, correlations, dfe
 
-from conftest import gamma_per_point, system_configs, valid_states
+from conftest import gamma_per_point, mpmath_gamma, system_configs, valid_states
 
 T_P_REFERENCE = 9.831391051117842  # sqrt(0.4**-5 - 1)
 
@@ -90,6 +91,66 @@ def test_crossing_beyond_bracket_cap_raises():
     # eta = 0.05, |c3| = 0.05 puts t_p near 10^13, past the doubling cap
     with pytest.raises(NoRootInRange):
         critical_time_solve(equal_bath_config(eta=0.05, c3=-0.05))
+
+
+def exponent_excess(config, t):
+    """Gamma_A(t) + Gamma_B(t) - ln(m/|c3|) by mpmath: negative exactly before
+    the crossing, since Gamma rises with t."""
+    m = max(abs(config.state.c1), abs(config.state.c2))
+    with mpmath.workdps(60):
+        return (mpmath_gamma(config.bath_a, t) + mpmath_gamma(config.bath_b, t)
+                - mpmath.log(mpmath.mpf(m) / mpmath.mpf(abs(config.state.c3))))
+
+
+def assert_crossing_within(config, t_p, rel):
+    """The mpmath crossing lies within rel of t_p."""
+    assert exponent_excess(config, t_p * (1.0 - rel)) < 0.0 < exponent_excess(config, t_p * (1.0 + rel))
+
+
+@pytest.mark.parametrize("flags", [
+    ("--beta-a", "1e-300", "--beta-b", "1e-300"),  # t_p = 8.738e-151
+    ("--omega-c-a", "1e-300"),  # bath B alone sets t_p = 2.91195
+    ("--omega-c-a", "1e-6"),
+    ("--beta-a", "1e-9", "--beta-b", "1e-9"),
+    ("--omega-c-a", "1e-310", "--omega-c-b", "1e-310"),  # 1/omega_c overflows
+    ("--omega-c-a", "1e308"),  # so does beta*omega_c
+])
+def test_critical_time_extremes_match_mpmath(flags, capsys):
+    assert cli.main(["critical-time", *flags]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    t_p, t_lo, t_hi, residual = (float(row[i]) for i in (0, 2, 3, 4))
+    assert 0.0 < t_lo <= t_p <= t_hi
+    assert t_hi - t_lo <= 1e-12 * t_hi
+    assert abs(residual) <= 1e-12
+    overrides = {flag[2:].replace("-", "_"): float(v) for flag, v in zip(flags[::2], flags[1::2])}
+    config = cli._build_config({**cli._DEFAULTS, **overrides})
+    assert critical_time_solve(config).t_p == t_p
+    assert_crossing_within(config, t_p, 1e-11)
+
+
+log_betas = st.one_of(st.just(math.inf), st.floats(-12.0, 3.0).map(lambda e: 10.0**e))
+windowed_states = valid_states().filter(lambda s: 0.0 < abs(s.c3) < max(abs(s.c1), abs(s.c2)))
+
+
+@given(windowed_states, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0), log_betas, log_betas)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_critical_time_matches_mpmath_across_cutoffs_and_temperatures(
+    state, eta_a, eta_b, log_omega_a, log_omega_b, beta_a, beta_b
+):
+    # cutoff ratios from 1e-6 to 1e6, temperatures up to 1/beta = 1e12
+    config = SystemConfig(Reservoir(eta_a, 10.0**log_omega_a, beta_a),
+                          Reservoir(eta_b, 10.0**log_omega_b, beta_b), state)
+    try:
+        result = critical_time_solve(config)
+    except NoRootInRange:
+        cap = 2.0**20 / max(config.bath_a.omega_c, config.bath_b.omega_c)
+        assert exponent_excess(config, cap) <= 0.0
+        return
+    t_lo, t_hi = result.bracket
+    assert t_lo <= result.t_p <= t_hi
+    assert t_hi - t_lo <= 1e-12 * t_hi
+    assert_crossing_within(config, result.t_p, 1e-11)
 
 
 def test_crossing_time_orderings():
